@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "arch/event_bus.hpp"
-#include "autonomic/switchboard.hpp"
+#include "autonomic/organ.hpp"
 #include "net/endpoint.hpp"
 #include "net/link.hpp"
 #include "net/retry.hpp"
@@ -32,7 +32,6 @@
 #include "util/campaign.hpp"
 #include "util/log_histogram.hpp"
 #include "util/table.hpp"
-#include "vote/voting_farm.hpp"
 
 namespace {
 
@@ -113,11 +112,6 @@ Outcome run(const EnvCase& env, std::uint64_t seed) {
     return true;
   });
 
-  // The replicated method is *always correct*: any redundancy change in
-  // this bench is latency-driven, never value-fault-driven.
-  aft::vote::VotingFarm farm(3, [](aft::vote::Ballot input, std::size_t) {
-    return input * 2 + 1;
-  });
   aft::autonomic::ReflectiveSwitchboard::Policy policy;
   policy.min_replicas = 3;
   policy.max_replicas = 9;
@@ -125,7 +119,13 @@ Outcome run(const EnvCase& env, std::uint64_t seed) {
   // All-correct rounds sit at dtof_max, so 120 comfortable rounds shed one
   // step — fast enough to watch the post-heal decay inside the run.
   policy.lower_after = 120;
-  aft::autonomic::ReflectiveSwitchboard board(farm, policy, /*key=*/0xA5);
+  // The replicated method is *always correct*: any redundancy change in
+  // this bench is latency-driven, never value-fault-driven.
+  aft::autonomic::RestoringOrgan organ(
+      3, [](aft::vote::Ballot input, std::size_t) { return input * 2 + 1; },
+      policy, /*shared_key=*/0xA5);
+  const aft::vote::VotingFarm& farm = organ.farm();
+  aft::autonomic::ReflectiveSwitchboard& board = organ.switchboard();
 
   aft::arch::EventBus bus;
   board.bind_slo(bus);
@@ -192,10 +192,10 @@ Outcome run(const EnvCase& env, std::uint64_t seed) {
     // the done/attempt/call chain — `aft_trace why` lands on the slow wire.
     tracker.record(sim.now(), r.elapsed);
     // One voting round per completed call, all replicas correct.
-    const aft::vote::RoundReport report = farm.invoke(42);
-    ++out.rounds;
-    if (report.dissent > 0) ++out.dissent_rounds;
-    board.observe(report);
+    organ.round(42, [&out](const aft::vote::RoundReport& report) {
+      ++out.rounds;
+      if (report.dissent > 0) ++out.dissent_rounds;
+    });
   };
 
   for (std::uint64_t k = 0; k < kCalls; ++k) {

@@ -4,7 +4,10 @@
 // A "sensor fusion" task is replicated across a Voting Farm; a scripted
 // radiation environment corrupts replica outputs; the Reflective
 // Switchboard watches dtof and resizes the farm through authenticated
-// messages.  The program prints the live trace and a Fig. 7-style summary.
+// messages.  The program prints the live trace and a Fig. 7-style summary,
+// including the rounds the scheme could not mask.  It exits 0 whenever it
+// ran; a disturbance the farm failed to out-vote is a reported outcome, not
+// an error.
 #include <iostream>
 
 #include "autonomic/experiment.hpp"
@@ -51,7 +54,8 @@ int main() {
             << "  occupancy (log scale):\n"
             << result.redundancy.render_log_scale(40)
             << "\nthe scheme held " << aft::util::fmt(result.fraction_at(3) * 100, 2)
-            << "% of the mission at the minimal degree r=3 while masking every"
-               " disturbance.\n";
-  return result.voting_failures == 0 ? 0 : 1;
+            << "% of the mission at the minimal degree r=3; "
+            << result.voting_failures << " of " << result.steps
+            << " rounds went unmasked (no majority).\n";
+  return 0;
 }

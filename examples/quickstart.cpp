@@ -10,13 +10,12 @@
 //               ./build/examples/quickstart
 #include <iostream>
 
-#include "autonomic/switchboard.hpp"
+#include "autonomic/organ.hpp"
 #include "core/context.hpp"
 #include "core/registry.hpp"
 #include "core/variable.hpp"
 #include "hw/machine.hpp"
 #include "mem/selector.hpp"
-#include "vote/voting_farm.hpp"
 
 int main() {
   using namespace aft;
@@ -70,20 +69,21 @@ int main() {
 
   // --- 5. Autonomic replication ----------------------------------------------
   bool disturb = false;
-  vote::VotingFarm farm(3, [&](vote::Ballot in, std::size_t replica) {
-    return disturb && replica == 0 ? in + 99 : in * 2;
-  });
-  autonomic::ReflectiveSwitchboard board(
-      farm, autonomic::ReflectiveSwitchboard::Policy{.lower_after = 5}, 42);
+  autonomic::RestoringOrgan organ(
+      3,
+      [&](vote::Ballot in, std::size_t replica) {
+        return disturb && replica == 0 ? in + 99 : in * 2;
+      },
+      autonomic::ReflectiveSwitchboard::Policy{.lower_after = 5}, 42);
   std::cout << "[5] voting farm with autonomic redundancy:\n";
   for (int round = 0; round < 12; ++round) {
     disturb = round >= 3 && round < 6;
-    const vote::RoundReport report = farm.invoke(round);
-    board.observe(report);
+    const vote::RoundReport report = organ.round(round, [](const auto&) {});
     std::cout << "    round " << round << ": n=" << report.n
               << " dtof=" << report.distance << " -> farm now "
-              << farm.replicas() << " replicas\n";
+              << organ.farm().replicas() << " replicas\n";
   }
+  const autonomic::ReflectiveSwitchboard& board = organ.switchboard();
   std::cout << "    raises=" << board.raises() << " lowers=" << board.lowers()
             << " (resizes authenticated: " << board.channel().accepted() << ")\n";
 

@@ -7,7 +7,6 @@
 
 // util — deterministic RNG, statistics, rendering helpers
 #include "util/histogram.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/series.hpp"
 #include "util/stats.hpp"
@@ -85,11 +84,11 @@
 // vote / autonomic — Sect. 3.3: restoring organ + reflective switchboards
 #include "autonomic/estimator.hpp"
 #include "autonomic/experiment.hpp"
+#include "autonomic/organ.hpp"
 #include "autonomic/secure_message.hpp"
 #include "autonomic/service.hpp"
 #include "autonomic/switchboard.hpp"
 #include "vote/dtof.hpp"
-#include "vote/health.hpp"
 #include "vote/voter.hpp"
 #include "vote/voting_farm.hpp"
 #include "vote/weighted.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "autonomic/organ.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 #include "util/series.hpp"
@@ -26,7 +27,7 @@ ExperimentResult run_adaptation_experiment(
   double corruption_prob = 0.0;
   std::uint64_t faults_injected = 0;
   std::uint64_t step = 0;
-  vote::VotingFarm farm(
+  RestoringOrgan organ(
       config.initial_replicas,
       [&](vote::Ballot input, std::size_t replica) -> vote::Ballot {
         if (corruption_prob > 0.0 && rng.bernoulli(corruption_prob)) {
@@ -46,9 +47,9 @@ ExperimentResult run_adaptation_experiment(
           return input + 2 + static_cast<vote::Ballot>(replica);
         }
         return input + 1;
-      });
-
-  ReflectiveSwitchboard board(farm, config.policy, /*shared_key=*/config.seed);
+      },
+      config.policy, /*shared_key=*/config.seed);
+  const vote::VotingFarm& farm = organ.farm();
 
   ExperimentResult result;
   for (const DisturbancePhase& phase : script) {
@@ -74,32 +75,32 @@ ExperimentResult run_adaptation_experiment(
         sink->set_cause(obs::kNoEvent);
       }
 #endif
-      const vote::RoundReport report =
-          farm.invoke(static_cast<vote::Ballot>(step));
+      const vote::RoundReport report = organ.round(
+          static_cast<vote::Ballot>(step), [&](const vote::RoundReport& r) {
 #if !defined(AFT_OBS_DISABLED)
-      if (sink != nullptr && report.dissent > 0) {
-        // Dissent is the detector-side symptom the injected corruption
-        // produced; the event inherits the injection as its cause and in
-        // turn becomes the cause of the switchboard's reaction.
-        const obs::EventId id =
-            sink->emit("vote.farm", "dissent",
-                       {{"step", step},
-                        {"dissenters", report.dissent},
-                        {"distance", report.distance},
-                        {"replicas", report.n}});
-        if (id != obs::kNoEvent) sink->set_cause(id);
-      }
+            if (sink != nullptr && r.dissent > 0) {
+              // Dissent is the detector-side symptom the injected corruption
+              // produced; the event inherits the injection as its cause and
+              // in turn becomes the cause of the switchboard's reaction.
+              const obs::EventId id =
+                  sink->emit("vote.farm", "dissent",
+                             {{"step", step},
+                              {"dissenters", r.dissent},
+                              {"distance", r.distance},
+                              {"replicas", r.n}});
+              if (id != obs::kNoEvent) sink->set_cause(id);
+            }
 #endif
-      if (!report.success) {
-        ++result.voting_failures;
+            if (!r.success) {
+              ++result.voting_failures;
 #if !defined(AFT_OBS_DISABLED)
-        if (sink != nullptr) {
-          sink->emit("autonomic.experiment", "voting-failure",
-                     {{"step", step}, {"replicas", farm.replicas()}});
-        }
+              if (sink != nullptr) {
+                sink->emit("autonomic.experiment", "voting-failure",
+                           {{"step", step}, {"replicas", farm.replicas()}});
+              }
 #endif
-      }
-      board.observe(report);
+            }
+          });
       if (config.record_series && step % config.series_sample_every == 0) {
         result.series.push_back(SeriesPoint{
             .step = step,
@@ -113,6 +114,7 @@ ExperimentResult run_adaptation_experiment(
 
   result.steps = step;
   result.faults_injected = faults_injected;
+  const ReflectiveSwitchboard& board = organ.switchboard();
   result.raises = board.raises();
   result.lowers = board.lowers();
   result.redundancy = board.redundancy_histogram();

@@ -4,8 +4,8 @@
 // calm and burst phases ("During a simulated experiment, faults are
 // injected, and consequently distance-to-failure decreases.  This triggers
 // an autonomic adaptation of the degree of redundancy" — Fig. 6); the
-// runner wires a VotingFarm to a ReflectiveSwitchboard and records the
-// redundancy/dtof time series plus the occupancy histogram.
+// runner drives a RestoringOrgan (autonomic/organ.hpp) round by round and
+// records the redundancy/dtof time series plus the occupancy histogram.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,13 @@
 #include <stdexcept>
 
 namespace aft::autonomic {
+namespace {
+
+constexpr std::size_t kInitialReplicas = 3;
+constexpr const char* kAssumptionId = "dim.redundancy";
+constexpr const char* kReplicasKey = "dim.redundancy.observed";
+
+}  // namespace
 
 AutonomicReplicationService::AutonomicReplicationService(Task task,
                                                          Options options,
@@ -10,38 +17,39 @@ AutonomicReplicationService::AutonomicReplicationService(Task task,
     : context_(context),
       options_(options),
       task_(std::move(task)),
-      farm_(options.initial_replicas,
-            [this](vote::Ballot input, std::size_t slot) {
-              return task_(input, unit_of_slot_[slot]);
-            }),
-      board_(farm_, options.policy, options.shared_key),
-      estimator_(options.estimator, context),
-      health_(options.health),
+      organ_(kInitialReplicas,
+             [this](vote::Ballot input, std::size_t slot) {
+               return task_(input, unit_of_slot_[slot]);
+             },
+             options.policy, options.shared_key,
+             options.retire_faulty_units
+                 ? RestoringOrgan::Discrimination::kOn
+                 : RestoringOrgan::Discrimination::kOff),
+      estimator_(DisturbanceEstimator::Params{}, context),
       assumption_(
-          options.assumption_id, "Degree of employed redundancy is r",
+          kAssumptionId, "Degree of employed redundancy is r",
           core::Subject::kExecutionEnvironment,
           core::Provenance{.origin = "AutonomicReplicationService",
                            .rationale =
                                "initial dimensioning; autonomically revised "
                                "on every switchboard resize",
                            .stated_at = core::BindingTime::kRun},
-          static_cast<std::int64_t>(farm_.replicas()),
-          options.assumption_id + ".observed"),
-      replicas_key_(options.assumption_id + ".observed") {
+          static_cast<std::int64_t>(organ_.farm().replicas()), kReplicasKey) {
   if (!task_) throw std::invalid_argument("AutonomicReplicationService: null task");
-  ensure_slot_units(farm_.replicas());
+  ensure_slot_units(organ_.farm().replicas());
 
   // Every authenticated resize re-binds the dimensioning assumption: the
   // hypothesis is kept in lockstep with reality by construction.
-  board_.set_resize_hook([this](std::size_t replicas, bool) {
+  organ_.switchboard().set_resize_hook([this](std::size_t replicas, bool) {
     ensure_slot_units(replicas);
     assumption_.rebind(static_cast<std::int64_t>(replicas));
     if (context_ != nullptr) {
-      context_->set(replicas_key_, static_cast<std::int64_t>(replicas));
+      context_->set(kReplicasKey, static_cast<std::int64_t>(replicas));
     }
   });
   if (context_ != nullptr) {
-    context_->set(replicas_key_, static_cast<std::int64_t>(farm_.replicas()));
+    context_->set(kReplicasKey,
+                  static_cast<std::int64_t>(organ_.farm().replicas()));
   }
 }
 
@@ -59,19 +67,19 @@ std::size_t AutonomicReplicationService::unit_of_slot(std::size_t slot) const {
 }
 
 std::optional<vote::Ballot> AutonomicReplicationService::call(vote::Ballot input) {
-  last_report_ = farm_.invoke(input);
-  estimator_.observe(last_report_);
-  board_.observe(last_report_);
+  last_report_ = organ_.round(
+      input, unit_of_slot_,
+      [this](const vote::RoundReport& report) { estimator_.observe(report); });
 
   if (options_.retire_faulty_units) {
-    health_.observe(farm_, last_report_);
-    for (const std::size_t slot : health_.retirable()) {
+    for (std::size_t slot = 0; slot < organ_.units_seen(); ++slot) {
       // The oracle discriminated this slot's unit as permanently or
-      // intermittently faulty: replace it with a spare and restart its
-      // health history (the new unit deserves a clean slate).
-      unit_of_slot_[slot] = next_unit_++;
-      ++units_replaced_;
-      health_.mark_repaired(slot);
+      // intermittently faulty: a spare unit takes the slot, with no
+      // history of its own.
+      if (organ_.suspect(unit_of_slot_[slot])) {
+        unit_of_slot_[slot] = next_unit_++;
+        ++units_replaced_;
+      }
     }
   }
 

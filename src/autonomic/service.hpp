@@ -1,7 +1,6 @@
 // AutonomicReplicationService — the Sect. 3.3 stack as one facade:
 //
-//   VotingFarm (restoring organ)
-//     + ReflectiveSwitchboard (dtof-driven redundancy revision)
+//   RestoringOrgan (VotingFarm + dtof-driven ReflectiveSwitchboard)
 //     + DisturbanceEstimator (smoothed environment deduction, published
 //       into a Context for other subsystems / gestalt agents)
 //     + the dimensioning assumption as a first-class Assumption variable
@@ -16,32 +15,31 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
+#include <vector>
 
 #include "autonomic/estimator.hpp"
-#include "autonomic/switchboard.hpp"
+#include "autonomic/organ.hpp"
 #include "core/assumption.hpp"
 #include "core/context.hpp"
-#include "vote/health.hpp"
-#include "vote/voting_farm.hpp"
 
 namespace aft::autonomic {
 
 class AutonomicReplicationService {
  public:
+  /// The farm starts at 3 replicas; the estimator publishes under
+  /// "env.disturbance", the assumption is "dim.redundancy" (its observed
+  /// value under "dim.redundancy.observed"); the unit oracle uses the
+  /// Fig. 4 alpha-count constants.
   struct Options {
-    std::size_t initial_replicas = 3;
     ReflectiveSwitchboard::Policy policy{};
-    DisturbanceEstimator::Params estimator{};
     std::uint64_t shared_key = 0xA47;  ///< switchboard<->farm channel key
-    std::string assumption_id = "dim.redundancy";
-    /// When true, per-slot dissent is tracked by an alpha-count oracle and
-    /// a slot judged permanently/intermittently faulty has its physical
-    /// unit REPLACED (the next spare unit id is mapped in) — Sect. 3.2's
-    /// "replace on failure" decision, taken inside the Sect. 3.3 organ,
-    /// only when the oracle has discriminated the fault as non-transient.
+    /// When true, the organ judges each unit's ballot stream with an
+    /// alpha-count oracle and a unit judged permanently/intermittently
+    /// faulty is REPLACED in its slot (the next spare unit id is mapped
+    /// in) — Sect. 3.2's "replace on failure" decision, taken inside the
+    /// Sect. 3.3 organ, only when the oracle has discriminated the fault as
+    /// non-transient.
     bool retire_faulty_units = false;
-    detect::AlphaCount::Params health{};
   };
 
   /// The replicated method.  The second argument is a *unit id*: the
@@ -61,14 +59,20 @@ class AutonomicReplicationService {
   /// assumption failure the caller must handle — it is also counted).
   std::optional<vote::Ballot> call(vote::Ballot input);
 
-  [[nodiscard]] std::size_t replicas() const noexcept { return farm_.replicas(); }
+  [[nodiscard]] std::size_t replicas() const noexcept {
+    return organ_.farm().replicas();
+  }
   [[nodiscard]] double disturbance_level() const noexcept {
     return estimator_.level();
   }
-  [[nodiscard]] std::uint64_t calls() const noexcept { return farm_.rounds(); }
-  [[nodiscard]] std::uint64_t failures() const noexcept { return farm_.failures(); }
+  [[nodiscard]] std::uint64_t calls() const noexcept {
+    return organ_.farm().rounds();
+  }
+  [[nodiscard]] std::uint64_t failures() const noexcept {
+    return organ_.farm().failures();
+  }
   [[nodiscard]] const ReflectiveSwitchboard& switchboard() const noexcept {
-    return board_;
+    return organ_.switchboard();
   }
   /// The live dimensioning assumption a(r): "Degree of employed redundancy
   /// is r" (the Fig. 7 caption's assumption variable).
@@ -96,13 +100,10 @@ class AutonomicReplicationService {
   std::vector<std::size_t> unit_of_slot_;
   std::size_t next_unit_ = 0;
   std::uint64_t units_replaced_ = 0;
-  vote::VotingFarm farm_;
-  ReflectiveSwitchboard board_;
+  RestoringOrgan organ_;
   DisturbanceEstimator estimator_;
-  vote::ReplicaHealthTracker health_;
   core::Assumption<std::int64_t> assumption_;
   vote::RoundReport last_report_{};
-  std::string replicas_key_;
 };
 
 }  // namespace aft::autonomic

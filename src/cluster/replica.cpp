@@ -39,11 +39,11 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
     : sim_(sim),
       params_(std::move(params)),
       task_(std::move(task)),
-      farm_(params_.policy.min_replicas,
-            [this](vote::Ballot, std::size_t slot) { return slot_ballot(slot); }),
-      board_(farm_, params_.policy, params_.shared_key),
+      organ_(params_.policy.min_replicas,
+             [this](vote::Ballot, std::size_t slot) { return slot_ballot(slot); },
+             params_.policy, params_.shared_key,
+             autonomic::RestoringOrgan::Discrimination::kOn),
       membership_(sim, params_.membership),
-      ballot_disc_(params_.ballot_alpha),
       admit_rng_(seed + 8 * params_.pool) {
   if (!task_) {
     throw std::invalid_argument("ReplicatedService: null task");
@@ -99,17 +99,15 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
       node.resumed_beats = 0;
     }
   });
-  ballot_disc_.on_verdict_change(
-      [this](const std::string& channel, detect::FaultJudgment verdict) {
-        on_ballot_verdict(channel, verdict);
-      });
+  organ_.set_suspect_hook(
+      [this](std::size_t i, bool suspect) { on_suspect_change(i, suspect); });
 }
 
 void ReplicatedService::start() {
   if (started_) return;
   started_ = true;
   AFT_TRACE("cluster.coordinator", "start",
-            {{"pool", nodes_.size()}, {"arity", farm_.replicas()}});
+            {{"pool", nodes_.size()}, {"arity", organ_.farm().replicas()}});
   for (const auto& node : nodes_) membership_.track(node->name);
   for (const auto& node : nodes_) {
     node->replica.start_heartbeats(params_.heartbeat_period);
@@ -118,7 +116,7 @@ void ReplicatedService::start() {
 
 bool ReplicatedService::eligible(std::size_t i) const {
   const Node& node = *nodes_.at(i);
-  return !node.suspect && membership_.up(node.name);
+  return !organ_.suspect(i) && membership_.up(node.name);
 }
 
 std::size_t ReplicatedService::live_count() const {
@@ -152,7 +150,8 @@ void ReplicatedService::invoke(vote::Ballot input, Done done) {
         if (queue_.size() >= limit) {
           Pending oldest = std::move(queue_.front());
           queue_.pop_front();
-          shed(std::move(oldest.done), oldest.cause);
+          const obs::CauseScope evicted(oldest.cause);
+          shed(std::move(oldest.done));
         }
         break;
       case ShedPolicy::kProbabilistic:
@@ -192,31 +191,16 @@ void ReplicatedService::enqueue(vote::Ballot input, Done done) {
 #endif
 }
 
-void ReplicatedService::shed(Done done,
-                             [[maybe_unused]] obs::EventId cause) {
+void ReplicatedService::shed(Done done) {
   ++counters_.shed;
   AFT_METRIC_ADD("cluster.admission.shed", 1);
-  // The shed record chains to the invoke it refuses: the ambient cause for
-  // a synchronous shed (the caller's context), or the evicted invoke's
-  // snapshotted cause for reject-oldest.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr && cause != obs::kNoEvent) {
-    prev_cause = sink->cause();
-    sink->set_cause(cause);
-    cause_installed = true;
-  }
-#endif
+  // The shed record chains to the invoke it refuses through the ambient
+  // cause (see the declaration).
   AFT_TRACE("cluster.admission", "shed",
             {{"queue", queue_.size()},
              {"limit", params_.admission.queue_limit},
              {"policy", to_string(params_.admission.policy)}});
   if (done) done(InvokeOutcome::kShed, kShedReport);
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 void ReplicatedService::begin_round(vote::Ballot input, Done done) {
@@ -225,7 +209,7 @@ void ReplicatedService::begin_round(vote::Ballot input, Done done) {
   r.id = ++round_seq_;
   r.input = input;
   r.done = std::move(done);
-  r.n = farm_.replicas();
+  r.n = organ_.farm().replicas();
   r.ballots.clear();
   for (std::size_t slot = 0; slot < r.n; ++slot) {
     r.ballots.push_back(no_reply(slot));
@@ -249,49 +233,33 @@ void ReplicatedService::begin_round(vote::Ballot input, Done done) {
   AFT_METRIC_ADD("cluster.rounds", 1);
 
   // The round record is the chain origin of the whole fan-out: every
-  // per-replica net.rpc/call (and its wire hops) walks back to it.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev =
-        sink->emit("cluster.coordinator", "round",
-                   {{"round", r.id},
-                    {"arity", r.n},
-                    {"live", r.assignment.size()}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
+  // per-replica net.rpc/call (and its wire hops) walks back to it.  The
+  // scope ends before a synchronous finalize_round(), which must not
+  // inherit it.
+  {
+    AFT_CAUSE("cluster.coordinator", "round",
+              {{"round", r.id}, {"arity", r.n}, {"live", r.assignment.size()}});
+    const std::string payload = std::to_string(input);
+    for (std::size_t slot = 0; slot < r.assignment.size(); ++slot) {
+      const std::size_t node = r.assignment[slot];
+      net::CallOptions options = params_.call;
+      options.breaker = nodes_[node]->breaker.has_value()
+                            ? &*nodes_[node]->breaker
+                            : nullptr;
+      // Pack (round, slot, node) into one word so the capture fits
+      // std::function's 16-byte inline buffer: the fan-out is the traffic
+      // plane's per-request hot path and must not allocate per call.
+      // 40/12/12 bits bound nothing real (pools are tens, not thousands).
+      const std::uint64_t tag = (r.id << 24) |
+                                (static_cast<std::uint64_t>(slot) << 12) |
+                                static_cast<std::uint64_t>(node);
+      nodes_[node]->coord.call(
+          "compute", payload, options,
+          [this, tag](const net::RpcResult& result) {
+            on_reply(tag >> 24, (tag >> 12) & 0xFFF, tag & 0xFFF, result);
+          });
     }
-  } else {
-    obs::flight_note("cluster.coordinator", "round");
   }
-#endif
-  const std::string payload = std::to_string(input);
-  for (std::size_t slot = 0; slot < r.assignment.size(); ++slot) {
-    const std::size_t node = r.assignment[slot];
-    net::CallOptions options = params_.call;
-    options.breaker = nodes_[node]->breaker.has_value()
-                          ? &*nodes_[node]->breaker
-                          : nullptr;
-    // Pack (round, slot, node) into one word so the capture fits
-    // std::function's 16-byte inline buffer: the fan-out is the traffic
-    // plane's per-request hot path and must not allocate per call.
-    // 40/12/12 bits bound nothing real (pools are tens, not thousands).
-    const std::uint64_t tag = (r.id << 24) |
-                              (static_cast<std::uint64_t>(slot) << 12) |
-                              static_cast<std::uint64_t>(node);
-    nodes_[node]->coord.call(
-        "compute", payload, options,
-        [this, tag](const net::RpcResult& result) {
-          on_reply(tag >> 24, (tag >> 12) & 0xFFF, tag & 0xFFF, result);
-        });
-  }
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
   round_.dispatching = false;
   if (round_.pending == 0) finalize_round();
 }
@@ -333,31 +301,24 @@ vote::Ballot ReplicatedService::slot_ballot(std::size_t slot) const {
 void ReplicatedService::finalize_round() {
   Round& r = round_;
   ++counters_.rounds;
-  const vote::RoundReport report = farm_.invoke(r.input);
-  if (!report.success) {
-    ++counters_.no_quorum;
-    AFT_METRIC_ADD("cluster.no_quorum", 1);
-  }
-  if (report.dissent > 0) ++counters_.dissent_rounds;
-  AFT_TRACE("cluster.coordinator", "round-done",
-            {{"round", r.id},
-             {"arity", report.n},
-             {"success", report.success},
-             {"dissent", report.dissent},
-             {"distance", report.distance}});
-  // Vote-layer discrimination, real slots only: each assigned replica's
-  // agreement with the majority is one judgment round for its channel.
-  // Sentinel slots of replicas that never answered count as dissent — not
+  // The organ scores the assigned slots only: each assigned replica's
+  // agreement with the majority is one judgment round for it.  The sentinel
+  // ballot of a replica that never answered counts as dissent — not
   // answering a round it was assigned IS that replica's error.
-  if (report.success) {
-    for (std::size_t slot = 0; slot < r.assignment.size(); ++slot) {
-      const std::size_t node = r.assignment[slot];
-      const bool dissented =
-          slot >= r.ballots.size() || r.ballots[slot] != report.value;
-      ballot_disc_.record(nodes_[node]->name, dissented);
-    }
-  }
-  board_.observe(report);
+  const vote::RoundReport report = organ_.round(
+      r.input, r.assignment, [&](const vote::RoundReport& done_report) {
+        if (!done_report.success) {
+          ++counters_.no_quorum;
+          AFT_METRIC_ADD("cluster.no_quorum", 1);
+        }
+        if (done_report.dissent > 0) ++counters_.dissent_rounds;
+        AFT_TRACE("cluster.coordinator", "round-done",
+                  {{"round", r.id},
+                   {"arity", done_report.n},
+                   {"success", done_report.success},
+                   {"dissent", done_report.dissent},
+                   {"distance", done_report.distance}});
+      });
   round_in_flight_ = false;
   Done done = std::move(r.done);
   r.done = nullptr;
@@ -372,23 +333,13 @@ void ReplicatedService::finalize_round() {
       reg->set_gauge("cluster.admission.queue_depth",
                      static_cast<double>(queue_.size()));
     }
+#endif
     // Reinstate the queued caller's causal context (snapshotted at
     // enqueue): without this the dequeued round chained to whatever
     // happened to complete the previous round — `aft_trace why` blamed an
     // unrelated caller for the queued work.
-    obs::TraceSink* const sink = obs::trace();
-    obs::EventId prev_cause = obs::kNoEvent;
-    bool cause_installed = false;
-    if (sink != nullptr) {
-      prev_cause = sink->cause();
-      sink->set_cause(next.cause);
-      cause_installed = true;
-    }
-#endif
+    const obs::CauseScope caller(next.cause);
     begin_round(next.input, std::move(next.done));
-#if !defined(AFT_OBS_DISABLED)
-    if (cause_installed) sink->set_cause(prev_cause);
-#endif
   }
 }
 
@@ -423,45 +374,20 @@ void ReplicatedService::on_member_change(const std::string& member, bool up) {
   // The evict record inherits the member-down verdict as its cause
   // (installed by Membership during handler fan-out) and becomes, in turn,
   // the cause of the disturbance/raise it pushes to the switchboard.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev =
-        sink->emit("cluster.replica", "evict", {{"replica", member}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("cluster.replica", "evict");
-  }
-#endif
-  board_.notify_disturbance("member-down");
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
+  AFT_CAUSE("cluster.replica", "evict", {{"replica", member}});
+  organ_.switchboard().notify_disturbance("member-down");
 }
 
-void ReplicatedService::on_ballot_verdict(const std::string& channel,
-                                          detect::FaultJudgment verdict) {
-  const auto it = index_.find(channel);
-  if (it == index_.end()) return;
-  Node& node = *nodes_[it->second];
-  const bool now_suspect =
-      verdict == detect::FaultJudgment::kPermanentOrIntermittent;
-  if (now_suspect == node.suspect) return;
-  node.suspect = now_suspect;
-  if (now_suspect) {
+void ReplicatedService::on_suspect_change(std::size_t i, bool suspect) {
+  [[maybe_unused]] const std::string& name = nodes_[i]->name;
+  if (suspect) {
     ++counters_.suspects;
     AFT_METRIC_ADD("cluster.suspects", 1);
-    AFT_TRACE("cluster.replica", "suspect", {{"replica", channel}});
+    AFT_TRACE("cluster.replica", "suspect", {{"replica", name}});
   } else {
     ++counters_.cleared;
     AFT_METRIC_ADD("cluster.cleared", 1);
-    AFT_TRACE("cluster.replica", "clear", {{"replica", channel}});
+    AFT_TRACE("cluster.replica", "clear", {{"replica", name}});
   }
 }
 
@@ -469,9 +395,9 @@ void ReplicatedService::repair(std::size_t i) {
   Node& node = *nodes_.at(i);
   AFT_TRACE("cluster.replica", "repair", {{"replica", node.name}});
   // Unit replacement: fresh ballot evidence (the reset's verdict change
-  // clears the suspect flag via on_ballot_verdict) and, if the member was
+  // clears the suspect latch via on_suspect_change) and, if the member was
   // evicted, a membership reinstate.
-  ballot_disc_.reset_channel(node.name);
+  organ_.repair(i);
   if (started_ && !membership_.up(node.name)) membership_.reinstate(node.name);
 }
 

@@ -9,17 +9,17 @@
 //   fan-out     invoke() sends one RPC per *live* replica; responses are
 //               collected as vote::Ballots (no-reply slots get per-slot
 //               sentinel ballots that can never form a majority).
-//   voting      the collected ballots feed a vote::VotingFarm round, so
-//               dtof and dissent are computed over network replicas; a
-//               second detect::FaultDiscriminator judges each replica's
-//               ballot stream and retires persistent dissenters
-//               ("suspect") until repair().
+//   voting      the collected ballots feed the rounds of an
+//               autonomic::RestoringOrgan, so dtof and dissent are computed
+//               over network replicas; the organ's ballot discrimination
+//               judges each replica's ballot stream and retires persistent
+//               dissenters ("suspect") until repair().
 //   liveness    replicas heartbeat the coordinator; net::Membership turns
 //               miss patterns into evict/reinstate transitions.  A member
 //               that resumes beating is auto-reinstated after
 //               `reinstate_after_beats` beats — arriving beats ARE the
 //               evidence the unit healed.
-//   adaptation  every round report flows into the
+//   adaptation  every round report flows into the organ's
 //               autonomic::ReflectiveSwitchboard (dissent raises, calm
 //               lowers), and every eviction is pushed to it as an external
 //               disturbance (notify_disturbance) so redundancy grows the
@@ -49,9 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "autonomic/switchboard.hpp"
-#include "detect/alpha_count.hpp"
-#include "detect/discriminator.hpp"
+#include "autonomic/organ.hpp"
 #include "net/breaker.hpp"
 #include "net/endpoint.hpp"
 #include "net/link.hpp"
@@ -104,10 +102,6 @@ struct ClusterParams {
   std::optional<net::CircuitBreaker::Params> breaker{};
   sim::SimTime heartbeat_period = 4;
   net::Membership::Params membership{};
-  /// Evidence filter judging each replica's *ballot* stream (dissent from
-  /// the majority = one error).  Latches like any alpha-count: a persistent
-  /// dissenter is retired until repair().
-  detect::AlphaCount::Params ballot_alpha{};
   /// Beats a down member must deliver before it is auto-reinstated.  The
   /// beats must be consecutive: a missed window while down restarts the
   /// count (a flapping member has not demonstrated a heal).
@@ -180,8 +174,11 @@ class ReplicatedService {
 
   /// Replica `i` is live: membership-up and not a ballot suspect.
   [[nodiscard]] bool eligible(std::size_t i) const;
+  /// Replica `i`'s ballot stream kept dissenting from the majority until
+  /// the organ's alpha-count latched it; retired until repair().
   [[nodiscard]] bool suspect(std::size_t i) const {
-    return nodes_.at(i)->suspect;
+    static_cast<void>(nodes_.at(i));
+    return organ_.suspect(i);
   }
   [[nodiscard]] const std::string& replica_name(std::size_t i) const {
     return nodes_.at(i)->name;
@@ -201,15 +198,11 @@ class ReplicatedService {
 
   [[nodiscard]] net::Membership& membership() noexcept { return membership_; }
   [[nodiscard]] autonomic::ReflectiveSwitchboard& switchboard() noexcept {
-    return board_;
+    return organ_.switchboard();
   }
-  [[nodiscard]] vote::VotingFarm& farm() noexcept { return farm_; }
+  [[nodiscard]] vote::VotingFarm& farm() noexcept { return organ_.farm(); }
   [[nodiscard]] const ClusterCounters& counters() const noexcept {
     return counters_;
-  }
-  [[nodiscard]] const detect::FaultDiscriminator& ballot_discriminator()
-      const noexcept {
-    return ballot_disc_;
   }
 
   /// The sentinel ballot slot `slot` reports when its replica never
@@ -238,7 +231,6 @@ class ReplicatedService {
     net::Endpoint replica;  ///< replica side: serves "compute", beats
     net::Endpoint coord;    ///< coordinator side: fans out calls
     std::optional<net::CircuitBreaker> breaker;
-    bool suspect = false;          ///< retired by the ballot discriminator
     std::uint32_t resumed_beats = 0;  ///< beats received while down
   };
 
@@ -259,7 +251,7 @@ class ReplicatedService {
     Done done;
     std::size_t n = 0;         ///< farm arity when the round started
     std::vector<vote::Ballot> ballots;    ///< per slot, sentinel-prefilled
-    std::vector<std::size_t> assignment;  ///< slot -> pool index
+    std::vector<std::size_t> assignment;  ///< slot -> pool index (the unit)
     std::size_t pending = 0;   ///< replies still outstanding
     bool dispatching = false;  ///< fan-out loop still placing calls
   };
@@ -270,15 +262,13 @@ class ReplicatedService {
   void finalize_round();
   /// Queues an invoke behind the in-flight round (cause snapshot included).
   void enqueue(vote::Ballot input, Done done);
-  /// Completes `done` with kShed and records the shed.  `cause` (when not
-  /// kNoEvent) is installed around the shed record and callback — the
-  /// snapshotted context of a *queued* invoke evicted by reject-oldest;
-  /// synchronous sheds inherit the ambient (caller's) cause instead.
-  void shed(Done done, obs::EventId cause = obs::kNoEvent);
+  /// Completes `done` with kShed and records the shed under the ambient
+  /// cause: the caller's context for a synchronous shed, the evicted
+  /// invoke's reinstated snapshot for reject-oldest.
+  void shed(Done done);
   void on_beat(std::size_t i);
   void on_member_change(const std::string& member, bool up);
-  void on_ballot_verdict(const std::string& channel,
-                         detect::FaultJudgment verdict);
+  void on_suspect_change(std::size_t i, bool suspect);
   [[nodiscard]] vote::Ballot slot_ballot(std::size_t slot) const;
 
   sim::Simulator& sim_;
@@ -286,10 +276,10 @@ class ReplicatedService {
   Task task_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::string, std::size_t> index_;  ///< replica name -> pool index
-  vote::VotingFarm farm_;
-  autonomic::ReflectiveSwitchboard board_;
+  /// Farm + switchboard + per-replica ballot discrimination; unit i is
+  /// pool member i.
+  autonomic::RestoringOrgan organ_;
   net::Membership membership_;
-  detect::FaultDiscriminator ballot_disc_;
   Round round_;
   bool round_in_flight_ = false;
   util::RingQueue<Pending> queue_;

@@ -68,11 +68,15 @@ ReadResult TmrEccAccess::voted_read(std::size_t addr) {
     if (copies[i].corrected) ++stats_.corrected_singles;
   }
 
-  // Majority vote over decodable copies.
+  // Majority vote over decodable copies.  A lone decodable copy stands on
+  // its own; two or more must hold a strict majority, or the word is
+  // ambiguous (a 1-1 split, or three different values) and nothing wins.
   std::optional<std::uint64_t> winner;
   int best_votes = 0;
+  int decodable = 0;
   for (const Copy& c : copies) {
     if (!c.decodable) continue;
+    ++decodable;
     int votes = 0;
     for (const Copy& d : copies) {
       if (d.decodable && d.data == c.data) ++votes;
@@ -82,6 +86,8 @@ ReadResult TmrEccAccess::voted_read(std::size_t addr) {
       winner = c.data;
     }
   }
+  const bool ambiguous = decodable >= 2 && 2 * best_votes <= decodable;
+  if (ambiguous) winner.reset();
 
   if (!winner.has_value()) {
     ++stats_.data_losses;
@@ -91,8 +97,9 @@ ReadResult TmrEccAccess::voted_read(std::size_t addr) {
     for (std::size_t i = 0; i < chips_.size(); ++i) {
       if (chips_[i]->state() != hw::ChipState::kOperational) recover_device(i);
     }
-    return ReadResult{any_unavailable ? ReadStatus::kUnavailable
-                                      : ReadStatus::kUncorrectable,
+    return ReadResult{any_unavailable && !ambiguous
+                          ? ReadStatus::kUnavailable
+                          : ReadStatus::kUncorrectable,
                       0};
   }
 

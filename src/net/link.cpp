@@ -75,25 +75,10 @@ bool Link::send(Frame frame) {
   // The send record becomes the cause of every delivery continuation
   // scheduled below: the sim kernel snapshots the sink's current cause per
   // entry, so "deliver" (and everything the receiver emits) chains here.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId id =
-        sink->emit("net.link", "send",
-                   {{"link", name_},
-                    {"kind", to_string(frame.kind)},
-                    {"id", frame.id}});
-    if (id != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(id);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("net.link", "send");
-  }
-#endif
+  AFT_CAUSE("net.link", "send",
+            {{"link", name_},
+             {"kind", to_string(frame.kind)},
+             {"id", frame.id}});
 
   const bool dup = faults_.duplicate > 0.0 && rng_.bernoulli(faults_.duplicate);
   const int copies = dup ? 2 : 1;
@@ -112,10 +97,6 @@ bool Link::send(Frame frame) {
                   "link delivery must schedule allocation-free");
     sim_.schedule_in(draw_delay(), std::move(arrival));
   }
-
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
   return true;
 }
 

@@ -1,7 +1,7 @@
 // Instrumentation access point: a per-thread current TraceSink,
 // MetricsRegistry, and FlightRecorder, installed by benches (obs::ObsCli) or
 // per campaign job (util::parallel_for_index), plus the AFT_TRACE /
-// AFT_METRIC_ADD / AFT_SPAN macros the subsystems call.
+// AFT_METRIC_ADD / AFT_SPAN / AFT_CAUSE macros the subsystems call.
 //
 // Cost when no sink is installed: one thread-local load and a predictable
 // branch per site, plus a ~40-byte ring store into the always-on flight
@@ -96,6 +96,55 @@ class SpanGuard {
   EventId prev_span_ = kNoEvent;
 };
 
+/// RAII causal turn: makes one record the sink's current cause for the rest
+/// of the scope and restores the previous cause on exit, so everything the
+/// scope emits — and every continuation it schedules — chains back to it.
+/// Emit a new record as the cause via AFT_CAUSE; reinstate a snapshotted
+/// cause with CauseScope(id).  Compiles to nothing under AFT_OBS_DISABLED.
+class CauseScope {
+ public:
+#if defined(AFT_OBS_DISABLED)
+  explicit CauseScope(EventId) noexcept {}
+#else
+  /// Reinstates `id`; kNoEvent is installed too (a context that had no
+  /// cause starts a fresh causal turn).
+  explicit CauseScope(EventId id) noexcept : sink_(trace()) {
+    if (sink_ == nullptr) return;
+    prev_cause_ = sink_->cause();
+    sink_->set_cause(id);
+  }
+  /// Installs the id `emit(sink, component, event)` returns; with no sink
+  /// installed, notes the record in the flight recorder instead.
+  template <typename Emit>
+  CauseScope(std::string_view component, std::string_view event,
+             Emit&& emit) noexcept
+      : sink_(trace()) {
+    if (sink_ == nullptr) {
+      flight_note(component, event);
+      return;
+    }
+    const EventId id = emit(*sink_, component, event);
+    if (id == kNoEvent) {
+      sink_ = nullptr;  // dropped by the cap: the ambient cause stands
+      return;
+    }
+    prev_cause_ = sink_->cause();
+    sink_->set_cause(id);
+  }
+  ~CauseScope() {
+    if (sink_ != nullptr) sink_->set_cause(prev_cause_);
+  }
+#endif
+  CauseScope(const CauseScope&) = delete;
+  CauseScope& operator=(const CauseScope&) = delete;
+
+#if !defined(AFT_OBS_DISABLED)
+ private:
+  TraceSink* sink_;
+  EventId prev_cause_ = kNoEvent;
+#endif
+};
+
 }  // namespace aft::obs
 
 // Instrumentation macros.  `...` is a braced Field list, e.g.
@@ -109,6 +158,7 @@ class SpanGuard {
 #define AFT_METRIC_OBSERVE(name, value) static_cast<void>(0)
 #define AFT_OBS_SET_TIME(t) static_cast<void>(0)
 #define AFT_SPAN(component, name) static_cast<void>(0)
+#define AFT_CAUSE(component, event, ...) static_cast<void>(0)
 
 #else
 
@@ -142,5 +192,17 @@ class SpanGuard {
 /// Opens a named span for the rest of the enclosing scope.
 #define AFT_SPAN(component, name) \
   ::aft::obs::SpanGuard AFT_OBS_CONCAT(aft_span_, __LINE__)((component), (name))
+
+/// Emits a record and makes it the current cause for the rest of the
+/// enclosing scope (CauseScope).  `...` is a braced Field list, evaluated
+/// only when a sink is installed.
+#define AFT_CAUSE(component, event, ...)                                   \
+  const ::aft::obs::CauseScope AFT_OBS_CONCAT(aft_cause_, __LINE__)(      \
+      (component), (event),                                                \
+      [&](::aft::obs::TraceSink& aft_obs_sink_, std::string_view aft_obs_c_, \
+          std::string_view aft_obs_e_) {                                   \
+        return aft_obs_sink_.emit(aft_obs_c_,                              \
+                                  aft_obs_e_ __VA_OPT__(, __VA_ARGS__));   \
+      })
 
 #endif  // AFT_OBS_DISABLED

@@ -10,7 +10,9 @@
 //     plus MessageArena slot recycling,
 //   * net::Link frame send -> deliver through the recycled slot pool,
 //   * vote::VotingFarm::invoke round after round, including after an
-//     arity resize, and
+//     arity resize,
+//   * autonomic::RestoringOrgan rounds with per-unit ballot
+//     discrimination on, and
 //   * mem::EccScrubAccess batched patrol scrub (read_block + bit-sliced
 //     batch decode), including rounds that take the repair path.
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "arch/event_bus.hpp"
+#include "autonomic/organ.hpp"
 #include "cluster/replica.hpp"
 #include "hw/memory_chip.hpp"
 #include "load/traffic.hpp"
@@ -36,16 +39,20 @@
 
 namespace {
 std::uint64_t g_news = 0;  // single-threaded tests; plain counter suffices
-}  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement pairs with its own deallocation path (malloc/free): the
+// array forms must not forward to ::operator new, or GCC sees a new[]
+// result released through operator delete (-Wmismatched-new-delete).
+void* counted_new(std::size_t size) {
   ++g_news;
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+}  // namespace
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -274,6 +281,40 @@ TEST(AllocTest, VotingFarmStaysAllocationFreeAfterResizeDown) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(farm.last_ballots().size(), 5u);
+}
+
+TEST(AllocTest, OrganRoundWithDiscriminationIsAllocationFree) {
+  // A latched dissenter plus healthy units: every round scores every unit
+  // through the discriminator's map, with the unit names cached once.
+  aft::autonomic::ReflectiveSwitchboard::Policy frozen;
+  frozen.raise_on_any_dissent = false;
+  frozen.critical_dtof = -1;
+  aft::autonomic::RestoringOrgan organ(
+      5,
+      [](aft::vote::Ballot input, std::size_t replica) {
+        return replica == 3 ? input + 1 : input;
+      },
+      frozen, /*shared_key=*/9,
+      aft::autonomic::RestoringOrgan::Discrimination::kOn);
+  const std::vector<std::size_t> units = {0, 1, 2, 3, 4};
+  std::uint64_t dissent_rounds = 0;
+  auto step = [&dissent_rounds](const aft::vote::RoundReport& report) {
+    if (report.dissent > 0) ++dissent_rounds;
+  };
+  for (aft::vote::Ballot round = 0; round < 20; ++round) {
+    (void)organ.round(round, units, step);  // warm: names, channels, latch
+  }
+  ASSERT_TRUE(organ.suspect(3));
+
+  const std::uint64_t allocs = allocations_during([&] {
+    for (aft::vote::Ballot round = 20; round < 2020; ++round) {
+      const aft::vote::RoundReport report = organ.round(round, units, step);
+      ASSERT_TRUE(report.success);
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(dissent_rounds, 2020u);
+  EXPECT_EQ(organ.units_seen(), 5u);
 }
 
 TEST(AllocTest, MetricsObserveSteadyStateIsAllocationFree) {

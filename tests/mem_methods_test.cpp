@@ -296,6 +296,42 @@ TEST(TmrTest, OutvotesAWholeCorruptedCopy) {
   EXPECT_EQ(m.read(2).status, ReadStatus::kOk);
 }
 
+TEST(TmrTest, TwoDisagreeingCopiesAreNotAMajority) {
+  // Regression: with chip 2 undecodable, the two decodable copies disagree.
+  // A 1-1 split is no majority, yet the read returned chip 0's value as
+  // kRecovered and rewrote the correct copy with it.
+  MemoryChip a(8), b(8), c(8);
+  TmrEccAccess m(a, b, c);
+  constexpr std::uint64_t kValue = 0x1234;
+  constexpr std::uint64_t kOther = 0x9876;
+  m.write(5, kValue);
+  a.write(5, aft::mem::ecc_encode(kOther));
+  c.inject_bit_flip(5, 0);
+  c.inject_bit_flip(5, 1);  // double-bit error: detected, not correctable
+
+  const ReadResult r = m.read(5);
+  EXPECT_EQ(r.status, ReadStatus::kUncorrectable);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(m.stats().recoveries, 0u);
+  EXPECT_EQ(m.stats().data_losses, 1u);
+  // Nothing was rewritten: chip 1 still holds the correct codeword.
+  EXPECT_EQ(b.read(5).word, aft::mem::ecc_encode(kValue));
+}
+
+TEST(TmrTest, LoneDecodableCopyStillAnswers) {
+  MemoryChip a(8), b(8), c(8);
+  TmrEccAccess m(a, b, c);
+  m.write(1, 0x77);
+  for (MemoryChip* chip : {&a, &c}) {
+    chip->inject_bit_flip(1, 4);
+    chip->inject_bit_flip(1, 9);
+  }
+  const ReadResult r = m.read(1);
+  EXPECT_EQ(r.status, ReadStatus::kRecovered);
+  EXPECT_EQ(r.value, 0x77u);
+  EXPECT_EQ(m.read(1).status, ReadStatus::kOk);  // both copies rewritten
+}
+
 TEST(TmrTest, SurvivesLatchUpConcurrentWithSeu) {
   MemoryChip a(16), b(16), c(16);
   TmrEccAccess m(a, b, c);
@@ -372,6 +408,13 @@ struct Campaign {
   FailureSemantics semantics;
   bool expect_integrity;
 };
+
+// Without this, gtest prints a Campaign as its raw bytes, which include the
+// heap address of `method`; the test's listed name would change every run.
+void PrintTo(const Campaign& c, std::ostream* os) {
+  *os << c.method << " under " << to_string(c.semantics)
+      << (c.expect_integrity ? ", holds" : ", clashes");
+}
 
 class AdequacyTest : public ::testing::TestWithParam<Campaign> {};
 

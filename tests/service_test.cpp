@@ -64,14 +64,12 @@ TEST(ServiceTest, DisturbanceGrowsRedundancyAndAssumptionTracks) {
 
 TEST(ServiceTest, PublishesIntoContext) {
   aft::core::Context ctx;
-  AutonomicReplicationService::Options options;
-  options.estimator.context_key = "env.disturbance";
-  options.assumption_id = "dim.r";
   AutonomicReplicationService service(
-      [](aft::vote::Ballot in, std::size_t) { return in; }, options, &ctx);
+      [](aft::vote::Ballot in, std::size_t) { return in; },
+      AutonomicReplicationService::Options{}, &ctx);
   service.call(1);
   EXPECT_TRUE(ctx.get<double>("env.disturbance").has_value());
-  EXPECT_EQ(ctx.get<std::int64_t>("dim.r.observed"), 3);
+  EXPECT_EQ(ctx.get<std::int64_t>("dim.redundancy.observed"), 3);
   // The assumption tracks the context the service itself feeds:
   // self-consistent by construction.
   EXPECT_EQ(service.dimensioning_assumption().assumed(), 3);
