@@ -32,13 +32,13 @@ aft::hw::Machine platform() {
   for (int i = 0; i < 3; ++i) {
     m.add_bank(aft::hw::SpdRecord{.vendor = "CE00000000000000",
                                   .model = "DDR-533-1G",
-                                  .serial = "S" + std::to_string(i),
+                                  .serial = std::string("S").append(std::to_string(i)),
                                   .lot = "L-opt",
                                   .size_mib = 1024,
                                   .width_bits = 64,
                                   .clock_mhz = 533,
                                   .technology = aft::hw::MemoryTechnology::kDdrSdram,
-                                  .slot = "B" + std::to_string(i)},
+                                  .slot = std::string("B").append(std::to_string(i))},
                128);
   }
   return m;

@@ -1,6 +1,7 @@
 #include "autonomic/organ.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace aft::autonomic {
 
@@ -13,8 +14,8 @@ RestoringOrgan::RestoringOrgan(std::size_t replicas, vote::VotingFarm::Task task
     // The Fig. 4 alpha-count constants: no caller has a reason to tune them.
     disc_.emplace();
     disc_->on_verdict_change(
-        [this](const std::string&, detect::FaultJudgment verdict) {
-          on_verdict(verdict);
+        [this](detect::ChannelId unit, detect::FaultJudgment verdict) {
+          on_verdict(unit, verdict);
         });
   }
 }
@@ -41,33 +42,29 @@ void RestoringOrgan::score(const vote::RoundReport& report,
 }
 
 void RestoringOrgan::record(std::size_t unit, bool dissented) {
-  while (names_.size() <= unit) {
-    names_.push_back("replica-" + std::to_string(names_.size()));
+  while (suspect_.size() <= unit) {
+    disc_->add(std::string("replica-").append(std::to_string(suspect_.size())));
     suspect_.push_back(0);
   }
-  judged_unit_ = unit;
-  disc_->record(names_[unit], dissented);
+  disc_->record(unit, dissented);
 }
 
-void RestoringOrgan::on_verdict(detect::FaultJudgment verdict) {
+void RestoringOrgan::on_verdict(std::size_t unit, detect::FaultJudgment verdict) {
   const bool now_suspect =
       verdict == detect::FaultJudgment::kPermanentOrIntermittent;
-  std::uint8_t& latch = suspect_[judged_unit_];
+  std::uint8_t& latch = suspect_[unit];
   if (now_suspect == (latch != 0)) return;
   latch = now_suspect ? 1 : 0;
-  if (hook_) hook_(judged_unit_, now_suspect);
+  if (hook_) hook_(unit, now_suspect);
 }
 
 detect::FaultJudgment RestoringOrgan::judgment(std::size_t unit) const {
-  if (!disc_ || unit >= names_.size()) return detect::FaultJudgment::kNoEvidence;
-  return disc_->judgment(names_[unit]);
+  return disc_ ? disc_->judgment(unit) : detect::FaultJudgment::kNoEvidence;
 }
 
 void RestoringOrgan::repair(std::size_t unit) {
-  // A unit never scored has no evidence to forget.
-  if (!disc_ || unit >= names_.size()) return;
-  judged_unit_ = unit;
-  disc_->reset_channel(names_[unit]);
+  // A unit never scored has no channel, hence no evidence to forget.
+  if (disc_) disc_->reset_channel(unit);
 }
 
 }  // namespace aft::autonomic

@@ -22,7 +22,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -97,17 +96,15 @@ class RestoringOrgan {
  private:
   void score(const vote::RoundReport& report, std::span<const std::size_t> units);
   void record(std::size_t unit, bool dissented);
-  void on_verdict(detect::FaultJudgment verdict);
+  void on_verdict(std::size_t unit, detect::FaultJudgment verdict);
 
   vote::VotingFarm farm_;
   ReflectiveSwitchboard board_;
+  /// Unit u is channel u, labelled "replica-<u>"; registered on its first
+  /// scored ballot (with every lower unit).
   std::optional<detect::FaultDiscriminator> disc_;
-  std::vector<std::string> names_;     ///< unit -> discriminator channel
   std::vector<std::uint8_t> suspect_;  ///< unit -> latched faulty
   std::size_t units_seen_ = 0;
-  /// The unit whose record()/reset the discriminator is processing: its
-  /// verdict handler fires synchronously inside those calls.
-  std::size_t judged_unit_ = 0;
   SuspectHook hook_;
 };
 

@@ -71,29 +71,23 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
           return true;
         });
     node->coord.on_heartbeat([this, i](const std::string&) { on_beat(i); });
-    index_[node->name] = i;
     nodes_.push_back(std::move(node));
   }
   // Post-mortem evidence join: a member-down record's cause is the last
   // heartbeat frame the member's return wire ate, so `aft_trace why` walks
   // a raise back to the physical loss.
-  membership_.set_down_evidence([this](const std::string& member) {
-    const auto it = index_.find(member);
-    if (it == index_.end()) return obs::kNoEvent;
-    return nodes_[it->second]->from.last_drop_event(net::FrameKind::kHeartbeat);
+  membership_.set_down_evidence([this](std::size_t i) {
+    return nodes_[i]->from.last_drop_event(net::FrameKind::kHeartbeat);
   });
-  membership_.on_change([this](const std::string& member, bool up) {
-    on_member_change(member, up);
-  });
+  membership_.on_change(
+      [this](std::size_t i, bool up) { on_member_change(i, up); });
   // A missed window while down restarts the heal count: reinstatement
   // demands `reinstate_after_beats` *consecutive* beats, so a flapping
   // member (N-1 beats, a miss, more beats) starts over from zero instead
   // of carrying stale credit across the gap.
-  membership_.on_miss([this](const std::string& member, std::uint64_t) {
-    const auto it = index_.find(member);
-    if (it == index_.end()) return;
-    Node& node = *nodes_[it->second];
-    if (node.resumed_beats > 0 && !membership_.up(node.name)) {
+  membership_.on_miss([this](std::size_t i, std::uint64_t) {
+    Node& node = *nodes_[i];
+    if (node.resumed_beats > 0 && !membership_.up(i)) {
       AFT_TRACE("cluster.replica", "heal-reset",
                 {{"replica", node.name}, {"beats", node.resumed_beats}});
       node.resumed_beats = 0;
@@ -108,6 +102,7 @@ void ReplicatedService::start() {
   started_ = true;
   AFT_TRACE("cluster.coordinator", "start",
             {{"pool", nodes_.size()}, {"arity", organ_.farm().replicas()}});
+  // Registration order makes pool member i membership id i.
   for (const auto& node : nodes_) membership_.track(node->name);
   for (const auto& node : nodes_) {
     node->replica.start_heartbeats(params_.heartbeat_period);
@@ -115,8 +110,8 @@ void ReplicatedService::start() {
 }
 
 bool ReplicatedService::eligible(std::size_t i) const {
-  const Node& node = *nodes_.at(i);
-  return !organ_.suspect(i) && membership_.up(node.name);
+  static_cast<void>(nodes_.at(i));
+  return !organ_.suspect(i) && membership_.up(i);
 }
 
 std::size_t ReplicatedService::live_count() const {
@@ -345,8 +340,8 @@ void ReplicatedService::finalize_round() {
 
 void ReplicatedService::on_beat(std::size_t i) {
   Node& node = *nodes_[i];
-  membership_.beat(node.name);
-  if (membership_.up(node.name)) return;
+  membership_.beat(i);
+  if (membership_.up(i)) return;
   // Beats arriving from a down member are themselves the heal evidence:
   // after enough of them, administratively reinstate it (the Sect. 3.2
   // unit-replacement treatment, triggered by observation instead of an
@@ -354,19 +349,17 @@ void ReplicatedService::on_beat(std::size_t i) {
   if (++node.resumed_beats >= params_.reinstate_after_beats) {
     AFT_TRACE("cluster.replica", "auto-reinstate",
               {{"replica", node.name}, {"beats", node.resumed_beats}});
-    membership_.reinstate(node.name);  // -> member-up -> on_member_change
+    membership_.reinstate(i);  // -> member-up -> on_member_change
   }
 }
 
-void ReplicatedService::on_member_change(const std::string& member, bool up) {
-  const auto it = index_.find(member);
-  if (it == index_.end()) return;
-  Node& node = *nodes_[it->second];
+void ReplicatedService::on_member_change(std::size_t i, bool up) {
+  Node& node = *nodes_[i];
   node.resumed_beats = 0;
   if (up) {
     ++counters_.reinstatements;
     AFT_METRIC_ADD("cluster.reinstatements", 1);
-    AFT_TRACE("cluster.replica", "rejoin", {{"replica", member}});
+    AFT_TRACE("cluster.replica", "rejoin", {{"replica", node.name}});
     return;
   }
   ++counters_.evictions;
@@ -374,7 +367,7 @@ void ReplicatedService::on_member_change(const std::string& member, bool up) {
   // The evict record inherits the member-down verdict as its cause
   // (installed by Membership during handler fan-out) and becomes, in turn,
   // the cause of the disturbance/raise it pushes to the switchboard.
-  AFT_CAUSE("cluster.replica", "evict", {{"replica", member}});
+  AFT_CAUSE("cluster.replica", "evict", {{"replica", node.name}});
   organ_.switchboard().notify_disturbance("member-down");
 }
 
@@ -392,13 +385,13 @@ void ReplicatedService::on_suspect_change(std::size_t i, bool suspect) {
 }
 
 void ReplicatedService::repair(std::size_t i) {
-  Node& node = *nodes_.at(i);
+  [[maybe_unused]] const Node& node = *nodes_.at(i);
   AFT_TRACE("cluster.replica", "repair", {{"replica", node.name}});
   // Unit replacement: fresh ballot evidence (the reset's verdict change
   // clears the suspect latch via on_suspect_change) and, if the member was
   // evicted, a membership reinstate.
   organ_.repair(i);
-  if (started_ && !membership_.up(node.name)) membership_.reinstate(node.name);
+  if (started_ && !membership_.up(i)) membership_.reinstate(i);
 }
 
 }  // namespace aft::cluster

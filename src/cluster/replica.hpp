@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -267,7 +266,7 @@ class ReplicatedService {
   /// invoke's reinstated snapshot for reject-oldest.
   void shed(Done done);
   void on_beat(std::size_t i);
-  void on_member_change(const std::string& member, bool up);
+  void on_member_change(std::size_t i, bool up);
   void on_suspect_change(std::size_t i, bool suspect);
   [[nodiscard]] vote::Ballot slot_ballot(std::size_t slot) const;
 
@@ -275,9 +274,8 @@ class ReplicatedService {
   ClusterParams params_;
   Task task_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<std::string, std::size_t> index_;  ///< replica name -> pool index
   /// Farm + switchboard + per-replica ballot discrimination; unit i is
-  /// pool member i.
+  /// pool member i, and so is membership id i.
   autonomic::RestoringOrgan organ_;
   net::Membership membership_;
   Round round_;

@@ -1,5 +1,7 @@
 #include "detect/discriminator.hpp"
 
+#include <utility>
+
 #include "obs/obs.hpp"
 
 namespace aft::detect {
@@ -7,61 +9,60 @@ namespace aft::detect {
 FaultDiscriminator::FaultDiscriminator(AlphaCount::Params params)
     : params_(params) {}
 
-void FaultDiscriminator::publish_verdict(const std::string& channel,
-                                         FaultJudgment verdict,
-                                         [[maybe_unused]] double score) {
+ChannelId FaultDiscriminator::add(std::string label) {
+  channels_.push_back(Channel{AlphaCount(params_)});
+  channels_.back().filter.set_label(std::move(label));
+  return channels_.size() - 1;
+}
+
+void FaultDiscriminator::publish_if_changed(ChannelId channel) {
+  Channel& ch = channels_[channel];
+  const FaultJudgment verdict = ch.filter.judgment();
+  if (verdict == ch.last) return;
+  ch.last = verdict;
   AFT_METRIC_ADD("detect.discriminator.verdict_changes", 1);
   AFT_TRACE("detect.discriminator", "verdict",
-            {{"channel", channel},
+            {{"channel", ch.filter.label()},
              {"judgment", to_string(verdict)},
-             {"score", score}});
-  // Index loop, not range-for: a handler may call on_verdict_change()
-  // re-entrantly (e.g. a switchboard arming a follow-up observer), and the
-  // push_back would invalidate a range-for's iterators on reallocation.
-  // Handlers appended mid-notification are not invoked for this change.
+             {"score", ch.filter.score()}});
+  // Index loop, not range-for: a handler may call on_verdict_change() or
+  // add() re-entrantly (e.g. a switchboard arming a follow-up observer), and
+  // the push_back would invalidate a range-for's iterators — and `ch` — on
+  // reallocation.  Handlers appended mid-notification are not invoked for
+  // this change.
   const std::size_t n = handlers_.size();
   for (std::size_t i = 0; i < n; ++i) handlers_[i](channel, verdict);
 }
 
-void FaultDiscriminator::record(const std::string& channel, bool error) {
-  auto [it, inserted] = channels_.try_emplace(channel, params_);
-  if (inserted) {
-    last_judgment_[channel] = FaultJudgment::kNoEvidence;
-    it->second.set_label(channel);
-  }
-  it->second.record(error);
-  const FaultJudgment now = it->second.judgment();
-  if (now != last_judgment_[channel]) {
-    last_judgment_[channel] = now;
-    publish_verdict(channel, now, it->second.score());
-  }
+void FaultDiscriminator::record(ChannelId channel, bool error) {
+  if (channel >= channels_.size()) return;
+  channels_[channel].filter.record(error);
+  publish_if_changed(channel);
 }
 
-void FaultDiscriminator::reset_channel(const std::string& channel) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return;
-  it->second.reset();
+void FaultDiscriminator::reset_channel(ChannelId channel) {
+  if (channel >= channels_.size()) return;
+  channels_[channel].filter.reset();
   // A reset is a unit replacement: if it moves the verdict (typically
   // kPermanentOrIntermittent -> kNoEvidence), subscribers must hear about
   // it exactly like any record()-driven transition — a switchboard that
-  // suspended the channel has to re-arm.  Silently updating last_judgment_
-  // here made replacements invisible to every subscriber.
-  const FaultJudgment now = it->second.judgment();
-  FaultJudgment& last = last_judgment_[channel];
-  if (now != last) {
-    last = now;
-    publish_verdict(channel, now, it->second.score());
-  }
+  // suspended the channel has to re-arm.  Silently updating the stored
+  // verdict here made replacements invisible to every subscriber.
+  publish_if_changed(channel);
 }
 
-FaultJudgment FaultDiscriminator::judgment(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? FaultJudgment::kNoEvidence : it->second.judgment();
+FaultJudgment FaultDiscriminator::judgment(ChannelId channel) const {
+  return channel < channels_.size() ? channels_[channel].filter.judgment()
+                                    : FaultJudgment::kNoEvidence;
 }
 
-double FaultDiscriminator::score(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? 0.0 : it->second.score();
+double FaultDiscriminator::score(ChannelId channel) const {
+  return channel < channels_.size() ? channels_[channel].filter.score() : 0.0;
+}
+
+std::string_view FaultDiscriminator::label(ChannelId channel) const {
+  return channel < channels_.size() ? channels_[channel].filter.label()
+                                    : std::string_view{};
 }
 
 void FaultDiscriminator::on_verdict_change(VerdictHandler handler) {

@@ -10,82 +10,72 @@ HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& sim,
                                    FaultDiscriminator& discriminator)
     : sim_(sim), discriminator_(discriminator) {}
 
-void HeartbeatMonitor::watch(const std::string& channel, sim::SimTime deadline) {
+void HeartbeatMonitor::watch(ChannelId channel, sim::SimTime deadline) {
   if (deadline == 0) {
     throw std::invalid_argument("HeartbeatMonitor: deadline must be > 0");
   }
-  auto [it, inserted] = channels_.try_emplace(channel);
-  if (!inserted && it->second.active) {
-    throw std::invalid_argument("HeartbeatMonitor: channel '" + channel +
-                                "' already watched");
+  if (channel >= discriminator_.channel_count()) {
+    throw std::invalid_argument("HeartbeatMonitor: channel not issued");
   }
+  if (watching(channel)) {
+    throw std::invalid_argument("HeartbeatMonitor: channel already watched");
+  }
+  if (channel >= channels_.size()) channels_.resize(channel + 1);
   // Bump the epoch so a check chain left pending by an earlier
   // watch()/unwatch() of this channel dies instead of running alongside
   // the fresh one (which would double-count every subsequent window).
-  const std::uint64_t epoch = it->second.epoch + 1;
-  it->second = Channel{deadline, false, true, epoch, 0};
+  const std::uint64_t epoch = channels_[channel].epoch + 1;
+  channels_[channel] = Channel{deadline, false, true, epoch, 0};
   AFT_TRACE("detect.heartbeat", "watch",
-            {{"channel", channel}, {"deadline", deadline}});
-  // The widest in-tree continuation (this + std::string + epoch = 48 bytes):
-  // the kernel's 64-byte inline budget is sized to keep exactly this shape
-  // off the heap.  The init-capture matters: a plain copy capture of the
-  // `const std::string&` parameter would make the member const, turning the
-  // closure's move into a throwing string copy (and the storage heap-bound).
-  auto chain = [this, channel = channel, epoch] { check(channel, epoch); };
+            {{"channel", discriminator_.label(channel)}, {"deadline", deadline}});
+  arm(channel, epoch, deadline);
+}
+
+void HeartbeatMonitor::beat(ChannelId channel) {
+  if (!watching(channel)) {
+    throw std::invalid_argument("HeartbeatMonitor: beat on unwatched channel");
+  }
+  channels_[channel].beaten = true;
+}
+
+void HeartbeatMonitor::unwatch(ChannelId channel) {
+  if (channel < channels_.size()) channels_[channel].active = false;
+}
+
+bool HeartbeatMonitor::watching(ChannelId channel) const {
+  return channel < channels_.size() && channels_[channel].active;
+}
+
+std::uint64_t HeartbeatMonitor::consecutive_misses(ChannelId channel) const {
+  return channel < channels_.size() ? channels_[channel].consecutive_misses : 0;
+}
+
+void HeartbeatMonitor::arm(ChannelId channel, std::uint64_t epoch,
+                           sim::SimTime deadline) {
+  auto chain = [this, channel, epoch] { check(channel, epoch); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "heartbeat check chain must schedule allocation-free");
   sim_.schedule_in(deadline, std::move(chain));
 }
 
-void HeartbeatMonitor::beat(const std::string& channel) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end() || !it->second.active) {
-    throw std::invalid_argument("HeartbeatMonitor: beat on unknown channel '" +
-                                channel + "'");
-  }
-  it->second.beaten = true;
-}
-
-void HeartbeatMonitor::unwatch(const std::string& channel) {
-  const auto it = channels_.find(channel);
-  if (it != channels_.end()) it->second.active = false;
-}
-
-bool HeartbeatMonitor::watching(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it != channels_.end() && it->second.active;
-}
-
-std::uint64_t HeartbeatMonitor::consecutive_misses(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? 0 : it->second.consecutive_misses;
-}
-
-void HeartbeatMonitor::check(const std::string& channel, std::uint64_t epoch) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end() || !it->second.active) return;
-  Channel& ch = it->second;
-  if (epoch != ch.epoch) return;  // superseded by a later watch()
+void HeartbeatMonitor::check(ChannelId channel, std::uint64_t epoch) {
+  Channel& ch = channels_[channel];
+  if (!ch.active || epoch != ch.epoch) return;  // unwatched or superseded
   const bool missed = !ch.beaten;
   ch.beaten = false;
+  ch.consecutive_misses = missed ? ch.consecutive_misses + 1 : 0;
   if (missed) {
     ++total_misses_;
-    ++ch.consecutive_misses;
     AFT_METRIC_ADD("detect.heartbeat.misses", 1);
     AFT_TRACE("detect.heartbeat", "miss",
-              {{"channel", channel},
+              {{"channel", discriminator_.label(channel)},
                {"consecutive", ch.consecutive_misses}});
     if (on_missed_) on_missed_(channel, ch.consecutive_misses);
-  } else {
-    ch.consecutive_misses = 0;
   }
   // Every window is one alpha-count judgment round for this channel.
   discriminator_.record(channel, missed);
-  // Same init-capture shape start()'s static_assert pins down.
-  auto chain = [this, channel = channel, epoch] { check(channel, epoch); };
-  static_assert(sim::Simulator::fits_inline<decltype(chain)>,
-                "heartbeat re-arm chain must schedule allocation-free");
-  sim_.schedule_in(ch.deadline, std::move(chain));
+  // Indexed afresh: a handler above may have grown channels_, moving `ch`.
+  arm(channel, epoch, channels_[channel].deadline);
 }
 
 }  // namespace aft::detect

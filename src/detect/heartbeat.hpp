@@ -3,12 +3,12 @@
 // and feeds misses into a FaultDiscriminator, so each channel's fault class
 // (transient glitch vs wedged) is judged independently by the alpha-count
 // oracle — the many-component generalization of the Fig. 4 watchdog.
+// The monitor watches channel ids its discriminator issued.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
+#include <vector>
 
 #include "detect/discriminator.hpp"
 #include "sim/simulator.hpp"
@@ -18,29 +18,31 @@ namespace aft::detect {
 class HeartbeatMonitor {
  public:
   /// `on_missed(channel, consecutive_misses)` fires on every missed window.
-  using MissHandler = std::function<void(const std::string&, std::uint64_t)>;
+  using MissHandler = std::function<void(ChannelId, std::uint64_t)>;
 
   HeartbeatMonitor(sim::Simulator& sim, FaultDiscriminator& discriminator);
 
-  /// Registers a channel with its own deadline; starts its window checks.
-  /// Duplicate registration throws.  Re-watching a previously unwatched
-  /// channel starts a single fresh check chain: any check left pending by
-  /// the earlier registration is invalidated (epoch guard), so an
-  /// unwatch()/watch() cycle cannot double-count windows.
-  void watch(const std::string& channel, sim::SimTime deadline);
+  /// Starts `channel`'s window checks with its own deadline.  The id must
+  /// have been issued by the discriminator; duplicate registration throws.
+  /// Re-watching a previously unwatched channel starts a single fresh
+  /// check chain: any check left pending by the earlier registration is
+  /// invalidated (epoch guard), so an unwatch()/watch() cycle cannot
+  /// double-count windows.
+  void watch(ChannelId channel, sim::SimTime deadline);
 
-  /// Liveness beat from a component.  Unknown channels throw.
-  void beat(const std::string& channel);
+  /// Liveness beat from a component.  Unwatched channels throw.
+  void beat(ChannelId channel);
 
   /// Stops checking a channel (e.g. after decommissioning the component).
-  void unwatch(const std::string& channel);
+  void unwatch(ChannelId channel);
 
   void set_miss_handler(MissHandler handler) { on_missed_ = std::move(handler); }
 
-  [[nodiscard]] bool watching(const std::string& channel) const;
+  [[nodiscard]] bool watching(ChannelId channel) const;
+  /// Channel slots held: one past the highest id ever watched.
   [[nodiscard]] std::size_t channel_count() const noexcept { return channels_.size(); }
   [[nodiscard]] std::uint64_t total_misses() const noexcept { return total_misses_; }
-  [[nodiscard]] std::uint64_t consecutive_misses(const std::string& channel) const;
+  [[nodiscard]] std::uint64_t consecutive_misses(ChannelId channel) const;
 
  private:
   struct Channel {
@@ -51,11 +53,13 @@ class HeartbeatMonitor {
     std::uint64_t consecutive_misses = 0;
   };
 
-  void check(const std::string& channel, std::uint64_t epoch);
+  /// Schedules `channel`'s next window check `deadline` ticks out.
+  void arm(ChannelId channel, std::uint64_t epoch, sim::SimTime deadline);
+  void check(ChannelId channel, std::uint64_t epoch);
 
   sim::Simulator& sim_;
   FaultDiscriminator& discriminator_;
-  std::map<std::string, Channel> channels_;
+  std::vector<Channel> channels_;  ///< indexed by ChannelId
   MissHandler on_missed_;
   std::uint64_t total_misses_ = 0;
 };

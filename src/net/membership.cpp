@@ -1,5 +1,6 @@
 #include "net/membership.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -7,34 +8,36 @@
 namespace aft::net {
 
 Membership::Membership(sim::Simulator& sim, Params params)
-    : sim_(sim),
-      params_(params),
+    : params_(params),
       discriminator_(params.alpha),
       monitor_(sim, discriminator_) {
   discriminator_.on_verdict_change(
-      [this](const std::string& channel, detect::FaultJudgment verdict) {
-        verdict_changed(channel, verdict);
+      [this](MemberId member, detect::FaultJudgment verdict) {
+        verdict_changed(member, verdict);
       });
 }
 
-void Membership::track(const std::string& member) {
-  const auto [it, inserted] = members_.try_emplace(member, true);
-  if (!inserted) return;
+Membership::MemberId Membership::track(std::string label) {
+  const MemberId member = discriminator_.add(std::move(label));
+  up_.push_back(true);
   monitor_.watch(member, params_.deadline);
-  AFT_TRACE("net.membership", "track", {{"member", member}});
+  AFT_TRACE("net.membership", "track",
+            {{"member", discriminator_.label(member)}});
+  return member;
 }
 
-void Membership::beat(const std::string& member) {
-  if (members_.find(member) == members_.end()) {
+void Membership::beat(MemberId member) {
+  if (member >= up_.size()) {
     ++unknown_beats_;
     return;
   }
   monitor_.beat(member);
 }
 
-void Membership::reinstate(const std::string& member) {
-  if (members_.find(member) == members_.end()) return;
-  AFT_TRACE("net.membership", "reinstate", {{"member", member}});
+void Membership::reinstate(MemberId member) {
+  if (member >= up_.size()) return;
+  AFT_TRACE("net.membership", "reinstate",
+            {{"member", discriminator_.label(member)}});
   // The reset's verdict change (kPermanentOrIntermittent -> kNoEvidence)
   // flows back through verdict_changed and marks the member up.
   discriminator_.reset_channel(member);
@@ -48,24 +51,15 @@ void Membership::set_down_evidence(EvidenceProvider provider) {
   down_evidence_ = std::move(provider);
 }
 
-bool Membership::up(const std::string& member) const {
-  const auto it = members_.find(member);
-  return it != members_.end() && it->second;
-}
-
 std::size_t Membership::up_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [member, is_up] : members_) n += is_up ? 1u : 0u;
-  return n;
+  return static_cast<std::size_t>(std::count(up_.begin(), up_.end(), true));
 }
 
-void Membership::verdict_changed(const std::string& member,
+void Membership::verdict_changed(MemberId member,
                                  detect::FaultJudgment verdict) {
-  const auto it = members_.find(member);
-  if (it == members_.end()) return;  // discriminator channel we don't track
   const bool now_up = verdict != detect::FaultJudgment::kPermanentOrIntermittent;
-  if (it->second == now_up) return;
-  it->second = now_up;
+  if (up_[member] == now_up) return;
+  up_[member] = now_up;
   if (now_up) {
     ++ups_;
     AFT_METRIC_ADD("net.membership.ups", 1);
@@ -89,7 +83,7 @@ void Membership::verdict_changed(const std::string& member,
     if (evidence != obs::kNoEvent) sink->set_cause(evidence);
     const obs::EventId ev = sink->emit(
         "net.membership", now_up ? "member-up" : "member-down",
-        {{"member", member}});
+        {{"member", discriminator_.label(member)}});
     if (evidence != obs::kNoEvent) sink->set_cause(ambient);
     if (ev != obs::kNoEvent) {
       prev_cause = sink->cause();

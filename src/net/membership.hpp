@@ -13,11 +13,12 @@
 // peer was repaired/replaced, so its evidence is cleared via
 // FaultDiscriminator::reset_channel — whose verdict-change notification
 // (bug-fixed in this module's PR) is exactly what brings the member back up.
+// Members are keyed by id: track() order (0, 1, 2, ...), issued by the
+// membership's own discriminator.  Names only label the trace records.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,10 @@ class Membership {
     detect::AlphaCount::Params alpha{};
   };
 
+  using MemberId = detect::ChannelId;
+
   /// `on_change(member, up)` fires on every up/down transition.
-  using ChangeHandler = std::function<void(const std::string&, bool)>;
+  using ChangeHandler = std::function<void(MemberId, bool)>;
 
   /// `on_miss(member, consecutive)` fires on every missed heartbeat window
   /// — raw monitor evidence, below the judgment layer.  Down-member
@@ -53,20 +56,22 @@ class Membership {
   /// Link::last_drop_event(kHeartbeat) on the member's return wire).
   /// Return obs::kNoEvent to keep the detector-side ancestry.  Purely
   /// observational — never consulted for the membership decision itself.
-  using EvidenceProvider = std::function<obs::EventId(const std::string&)>;
+  using EvidenceProvider = std::function<obs::EventId(MemberId)>;
 
   Membership(sim::Simulator& sim, Params params);
 
-  /// Registers `member` (initially up) and starts its heartbeat windows.
-  void track(const std::string& member);
+  /// Registers a member named `label` (initially up), starts its
+  /// heartbeat windows and returns its id.
+  MemberId track(std::string label);
 
   /// Feeds one received beat (wire Endpoint::on_heartbeat here).  Beats
-  /// from untracked origins are counted and ignored.
-  void beat(const std::string& member);
+  /// for ids track() never issued are counted and ignored.
+  void beat(MemberId member);
 
   /// Administrative replacement of a failed member: clears its evidence
-  /// and verdict; the resulting verdict change marks it up again.
-  void reinstate(const std::string& member);
+  /// and verdict; the resulting verdict change marks it up again.  An id
+  /// track() never issued is a no-op.
+  void reinstate(MemberId member);
 
   void on_change(ChangeHandler handler);
 
@@ -82,9 +87,12 @@ class Membership {
   /// verdict to the dropped frame.
   void set_down_evidence(EvidenceProvider provider);
 
-  [[nodiscard]] bool up(const std::string& member) const;
+  /// False for an id track() never issued.
+  [[nodiscard]] bool up(MemberId member) const {
+    return member < up_.size() && up_[member];
+  }
   [[nodiscard]] std::size_t up_count() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return up_.size(); }
   [[nodiscard]] std::uint64_t downs() const noexcept { return downs_; }
   [[nodiscard]] std::uint64_t ups() const noexcept { return ups_; }
   [[nodiscard]] std::uint64_t unknown_beats() const noexcept {
@@ -96,14 +104,12 @@ class Membership {
   }
 
  private:
-  void verdict_changed(const std::string& member,
-                       detect::FaultJudgment verdict);
+  void verdict_changed(MemberId member, detect::FaultJudgment verdict);
 
-  sim::Simulator& sim_;
   Params params_;
   detect::FaultDiscriminator discriminator_;
   detect::HeartbeatMonitor monitor_;
-  std::map<std::string, bool> members_;  ///< member -> up
+  std::vector<bool> up_;  ///< indexed by MemberId
   std::vector<ChangeHandler> handlers_;
   EvidenceProvider down_evidence_;
   std::uint64_t downs_ = 0;

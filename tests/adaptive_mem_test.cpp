@@ -21,13 +21,13 @@ Machine misjudged_platform(std::size_t banks = 3, std::size_t words = 128) {
   for (std::size_t i = 0; i < banks; ++i) {
     m.add_bank(SpdRecord{.vendor = "CE00000000000000",
                          .model = "DDR-533-1G",  // KB says f1
-                         .serial = "S" + std::to_string(i),
+                         .serial = std::string("S").append(std::to_string(i)),
                          .lot = "L-opt",
                          .size_mib = 1024,
                          .width_bits = 64,
                          .clock_mhz = 533,
                          .technology = MemoryTechnology::kDdrSdram,
-                         .slot = "B" + std::to_string(i)},
+                         .slot = std::string("B").append(std::to_string(i))},
                words);
   }
   return m;

@@ -12,7 +12,9 @@
 //   * vote::VotingFarm::invoke round after round, including after an
 //     arity resize,
 //   * autonomic::RestoringOrgan rounds with per-unit ballot
-//     discrimination on, and
+//     discrimination on,
+//   * net::Membership heartbeat windows for a member whose name does not
+//     fit the string SSO buffer, and
 //   * mem::EccScrubAccess batched patrol scrub (read_block + bit-sliced
 //     batch decode), including rounds that take the repair path.
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@
 #include "load/traffic.hpp"
 #include "mem/method_ecc.hpp"
 #include "net/link.hpp"
+#include "net/membership.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "vote/voting_farm.hpp"
@@ -94,10 +97,11 @@ TEST(AllocTest, SimulatorSteadyStateIsAllocationFree) {
   }
   sim.run_all();
 
-  // Steady state: schedule and dispatch with a capture the size of the
-  // widest in-tree continuation (heartbeat: this + std::string + epoch =
-  // 48 bytes).  A short string stays in its SSO buffer, so the whole shape
-  // is allocation-free end to end.
+  // Steady state: schedule and dispatch with a 48-byte capture (this +
+  // std::string + epoch), wider than any in-tree continuation now that the
+  // heartbeat chain carries its channel id instead of the channel name.  A
+  // short string stays in its SSO buffer, so the whole shape is
+  // allocation-free end to end.
   struct Shape {
     std::uint64_t* fired;
     std::string channel;
@@ -285,7 +289,7 @@ TEST(AllocTest, VotingFarmStaysAllocationFreeAfterResizeDown) {
 
 TEST(AllocTest, OrganRoundWithDiscriminationIsAllocationFree) {
   // A latched dissenter plus healthy units: every round scores every unit
-  // through the discriminator's map, with the unit names cached once.
+  // through the discriminator's channel vector, registered once.
   aft::autonomic::ReflectiveSwitchboard::Policy frozen;
   frozen.raise_on_any_dissent = false;
   frozen.critical_dtof = -1;
@@ -315,6 +319,43 @@ TEST(AllocTest, OrganRoundWithDiscriminationIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(dissent_rounds, 2020u);
   EXPECT_EQ(organ.units_seen(), 5u);
+}
+
+TEST(AllocTest, MembershipWindowsForALongMemberNameAreAllocationFree) {
+  // The heartbeat check re-armed every window captures the member's id:
+  // a name past the SSO buffer is never copied after track().
+  aft::sim::Simulator sim;
+  aft::net::Membership::Params params;
+  params.deadline = 10;
+  aft::net::Membership membership(sim, params);
+  const std::string name = "replica-with-a-long-name-0001";
+  ASSERT_GT(name.size(), std::string().capacity());  // heap-held, not SSO
+  const aft::net::Membership::MemberId member = membership.track(name);
+
+  // One beat mid-window, every window: the member stays up throughout.
+  struct Beater {
+    aft::sim::Simulator* sim;
+    aft::net::Membership* membership;
+    aft::net::Membership::MemberId member;
+    void arm() {
+      sim->schedule_in(10, [this] {
+        membership->beat(member);
+        arm();
+      });
+    }
+  } beater{&sim, &membership, member};
+  sim.schedule_at(5, [&beater] {
+    beater.membership->beat(beater.member);
+    beater.arm();
+  });
+  sim.run_until(1000);  // warm: 100 windows
+
+  const std::uint64_t allocs =
+      allocations_during([&] { sim.run_until(1000 + 1000 * 10); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_TRUE(membership.up(member));
+  EXPECT_EQ(membership.downs(), 0u);
+  EXPECT_EQ(membership.unknown_beats(), 0u);
 }
 
 TEST(AllocTest, MetricsObserveSteadyStateIsAllocationFree) {

@@ -151,23 +151,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DiscriminatorTest, PerChannelIsolation) {
   FaultDiscriminator d;
+  const ChannelId healthy = d.add("healthy");
+  const ChannelId broken = d.add("broken");
   for (int i = 0; i < 10; ++i) {
-    d.record("healthy", false);
-    d.record("broken", true);
+    d.record(healthy, false);
+    d.record(broken, true);
   }
-  EXPECT_EQ(d.judgment("healthy"), FaultJudgment::kNoEvidence);
-  EXPECT_EQ(d.judgment("broken"), FaultJudgment::kPermanentOrIntermittent);
-  EXPECT_EQ(d.judgment("never-seen"), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(d.judgment(healthy), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(d.judgment(broken), FaultJudgment::kPermanentOrIntermittent);
+  const ChannelId never_seen = broken + 1;
+  EXPECT_EQ(d.judgment(never_seen), FaultJudgment::kNoEvidence);
   EXPECT_EQ(d.channel_count(), 2u);
 }
 
 TEST(DiscriminatorTest, VerdictChangeHandlerFiresOnTransitionsOnly) {
   FaultDiscriminator d;
-  std::vector<std::pair<std::string, FaultJudgment>> events;
-  d.on_verdict_change([&](const std::string& ch, FaultJudgment j) {
+  const ChannelId c = d.add("c");
+  std::vector<std::pair<ChannelId, FaultJudgment>> events;
+  d.on_verdict_change([&](ChannelId ch, FaultJudgment j) {
     events.emplace_back(ch, j);
   });
-  for (int i = 0; i < 10; ++i) d.record("c", true);
+  for (int i = 0; i < 10; ++i) d.record(c, true);
   // Two transitions: NoEvidence->Transient (first error),
   // Transient->PermanentOrIntermittent (threshold crossing).
   ASSERT_EQ(events.size(), 2u);
@@ -177,12 +181,13 @@ TEST(DiscriminatorTest, VerdictChangeHandlerFiresOnTransitionsOnly) {
 
 TEST(DiscriminatorTest, ResetChannelAfterReplacement) {
   FaultDiscriminator d;
-  for (int i = 0; i < 10; ++i) d.record("c", true);
-  ASSERT_EQ(d.judgment("c"), FaultJudgment::kPermanentOrIntermittent);
-  d.reset_channel("c");
-  EXPECT_NE(d.judgment("c"), FaultJudgment::kPermanentOrIntermittent);
-  EXPECT_DOUBLE_EQ(d.score("c"), 0.0);
-  d.reset_channel("unknown");  // harmless no-op
+  const ChannelId c = d.add("c");
+  for (int i = 0; i < 10; ++i) d.record(c, true);
+  ASSERT_EQ(d.judgment(c), FaultJudgment::kPermanentOrIntermittent);
+  d.reset_channel(c);
+  EXPECT_NE(d.judgment(c), FaultJudgment::kPermanentOrIntermittent);
+  EXPECT_DOUBLE_EQ(d.score(c), 0.0);
+  d.reset_channel(c + 1);  // unknown id: harmless no-op
 }
 
 // Regression: reset_channel() used to update the stored judgment silently,
@@ -191,21 +196,22 @@ TEST(DiscriminatorTest, ResetChannelAfterReplacement) {
 // that suspended the channel was never told to re-arm it.
 TEST(DiscriminatorTest, ResetChannelNotifiesSubscribersOfTheTransition) {
   FaultDiscriminator d;
-  std::vector<std::pair<std::string, FaultJudgment>> events;
-  d.on_verdict_change([&](const std::string& ch, FaultJudgment j) {
+  const ChannelId c = d.add("c");
+  std::vector<std::pair<ChannelId, FaultJudgment>> events;
+  d.on_verdict_change([&](ChannelId ch, FaultJudgment j) {
     events.emplace_back(ch, j);
   });
-  for (int i = 0; i < 10; ++i) d.record("c", true);
+  for (int i = 0; i < 10; ++i) d.record(c, true);
   ASSERT_EQ(events.size(), 2u);  // NoEvidence->Transient->Permanent
 
-  d.reset_channel("c");
+  d.reset_channel(c);
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[2].first, "c");
+  EXPECT_EQ(events[2].first, c);
   EXPECT_EQ(events[2].second, FaultJudgment::kNoEvidence);
 
   // A reset that does not move the verdict stays silent: the channel is
   // already at kNoEvidence, so a second reset is not a transition.
-  d.reset_channel("c");
+  d.reset_channel(c);
   EXPECT_EQ(events.size(), 3u);
 }
 
@@ -216,21 +222,21 @@ TEST(DiscriminatorTest, ResetChannelNotifiesSubscribersOfTheTransition) {
 // subscribers hear about subsequent transitions only.
 TEST(DiscriminatorTest, HandlerMaySubscribeReentrantlyDuringNotification) {
   FaultDiscriminator d;
+  const ChannelId c = d.add("c");
   int outer_calls = 0;
   int inner_calls = 0;
-  d.on_verdict_change([&](const std::string&, FaultJudgment) {
+  d.on_verdict_change([&](ChannelId, FaultJudgment) {
     ++outer_calls;
     // Force reallocation pressure: several re-entrant subscriptions.
     for (int i = 0; i < 4; ++i) {
-      d.on_verdict_change(
-          [&](const std::string&, FaultJudgment) { ++inner_calls; });
+      d.on_verdict_change([&](ChannelId, FaultJudgment) { ++inner_calls; });
     }
   });
-  d.record("c", true);  // NoEvidence -> Transient
+  d.record(c, true);  // NoEvidence -> Transient
   EXPECT_EQ(outer_calls, 1);
   EXPECT_EQ(inner_calls, 0);  // not invoked for the transition that added them
 
-  for (int i = 0; i < 9; ++i) d.record("c", true);  // -> Permanent
+  for (int i = 0; i < 9; ++i) d.record(c, true);  // -> Permanent
   EXPECT_EQ(outer_calls, 2);
   EXPECT_EQ(inner_calls, 4);  // the first four subscribers hear the second
 }

@@ -90,7 +90,7 @@ TEST(MiddlewarePropertyTest, FailStopFailsIffAnyFailureDegradedNeverFails) {
     snapshot.name = "chain";
     std::vector<std::shared_ptr<aft::arch::ScriptedComponent>> components;
     for (int i = 0; i < n; ++i) {
-      const std::string id = "c" + std::to_string(i);
+      const std::string id = std::string("c").append(std::to_string(i));
       auto c = std::make_shared<aft::arch::ScriptedComponent>(
           id, [](std::int64_t v) { return v + 1; });
       mw.register_component(c);

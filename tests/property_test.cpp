@@ -111,7 +111,7 @@ TEST(DagPropertyTest, RandomDagsTopoOrderRespectsEveryEdge) {
     aft::arch::DagSnapshot snapshot;
     snapshot.name = "random";
     for (std::size_t i = 0; i < n; ++i) {
-      snapshot.nodes.push_back("n" + std::to_string(i));
+      snapshot.nodes.push_back(std::string("n").append(std::to_string(i)));
     }
     // Edges only i -> j with i < j: guaranteed acyclic.
     for (std::size_t i = 0; i < n; ++i) {
