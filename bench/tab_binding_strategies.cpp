@@ -28,11 +28,10 @@ int main(int argc, char** argv) {
   std::cout << "=== binding-strategy comparison: performance vs dependability ===\n\n";
 
   // --- performance-directed binding (FFTW-style planner) -------------------
-  aft::tune::FftPlanner planner(3);
   aft::util::TextTable perf;
   perf.header({"FFT size", "bound algorithm", "ns/point (measured)"});
   for (const std::size_t n : {16u, 256u, 4096u, 100u}) {
-    const aft::tune::Plan plan = planner.plan_for(n);
+    const aft::tune::Plan plan = aft::tune::plan_for(n);
     perf.row({std::to_string(n), aft::tune::to_string(plan.kind),
               aft::util::fmt(plan.measured_ns_per_point, 1)});
   }

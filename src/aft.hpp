@@ -12,8 +12,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-// sim — deterministic discrete-event kernel and disturbance processes
-#include "sim/processes.hpp"
+// sim — deterministic discrete-event kernel
 #include "sim/simulator.hpp"
 
 // hw — simulated platform: SPD introspection, fault models, injectors
@@ -41,10 +40,8 @@
 #include "core/binding.hpp"
 #include "core/boulding.hpp"
 #include "core/context.hpp"
-#include "core/executive.hpp"
 #include "core/gestalt.hpp"
 #include "core/guard.hpp"
-#include "core/monitor.hpp"
 #include "core/registry.hpp"
 #include "core/syndrome.hpp"
 #include "core/variable.hpp"
@@ -62,7 +59,6 @@
 #include "arch/dag.hpp"
 #include "arch/event_bus.hpp"
 #include "arch/middleware.hpp"
-#include "arch/stateful.hpp"
 
 // contract / manifest / env — Sect. 4 technologies, operationalized
 #include "contract/clause.hpp"
@@ -73,13 +69,9 @@
 #include "manifest/manifest.hpp"
 
 // ftpat — fault-tolerance design patterns + the Sect. 3.2 switcher
-#include "ftpat/checkpoint.hpp"
-#include "ftpat/nversion.hpp"
 #include "ftpat/pattern_switcher.hpp"
 #include "ftpat/reconfiguration.hpp"
-#include "ftpat/recovery_blocks.hpp"
 #include "ftpat/redoing.hpp"
-#include "ftpat/time_redundancy.hpp"
 
 // vote / autonomic — Sect. 3.3: restoring organ + reflective switchboards
 #include "autonomic/estimator.hpp"
@@ -91,7 +83,6 @@
 #include "vote/dtof.hpp"
 #include "vote/voter.hpp"
 #include "vote/voting_farm.hpp"
-#include "vote/weighted.hpp"
 
 // tune — the FFTW/mplayer comparison case (performance-directed binding)
 #include "tune/fft.hpp"

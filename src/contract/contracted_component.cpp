@@ -7,14 +7,12 @@ namespace aft::contract {
 ContractedComponent::ContractedComponent(std::string id,
                                          std::shared_ptr<arch::Component> inner,
                                          Precondition pre, Postcondition post,
-                                         Invariant invariant,
-                                         ViolationPolicy policy)
+                                         Invariant invariant)
     : Component(std::move(id)),
       inner_(std::move(inner)),
       pre_(std::move(pre)),
       post_(std::move(post)),
-      invariant_(std::move(invariant)),
-      policy_(policy) {
+      invariant_(std::move(invariant)) {
   if (!inner_) throw std::invalid_argument("ContractedComponent: null inner");
   // Absent clauses default to "always true" so callers can contract only
   // the boundary they care about.
@@ -26,7 +24,7 @@ ContractedComponent::ContractedComponent(std::string id,
 arch::Component::Result ContractedComponent::process(std::int64_t input) {
   if (!pre_(input)) {
     ++pre_violations_;
-    if (policy_ == ViolationPolicy::kFailCall) return account(Result{false, 0});
+    return account(Result{false, 0});
   }
   const Result r = inner_->process(input);
   if (!r.ok) return account(r);
@@ -40,10 +38,7 @@ arch::Component::Result ContractedComponent::process(std::int64_t input) {
     ++inv_violations_;
     violated = true;
   }
-  if (violated && policy_ == ViolationPolicy::kFailCall) {
-    return account(Result{false, 0});
-  }
-  return account(r);
+  return account(violated ? Result{false, 0} : r);
 }
 
 }  // namespace aft::contract

@@ -8,8 +8,8 @@
 //
 // ContractedComponent wraps any Component with executable pre/post
 // conditions and an invariant.  A violation is an assumption failure made
-// observable at the exact call boundary where the hypothesis is consumed;
-// the configured policy decides whether the call fails or degrades.
+// observable at the exact call boundary where the hypothesis is consumed,
+// and the call fails there (fail-stop at the boundary).
 #pragma once
 
 #include <cstdint>
@@ -20,12 +20,6 @@
 
 namespace aft::contract {
 
-/// What to do when a contract clause is violated.
-enum class ViolationPolicy : std::uint8_t {
-  kFailCall,   ///< report the call as failed (fail-stop at the boundary)
-  kPassThrough,///< count the violation but let the result through (monitor mode)
-};
-
 class ContractedComponent final : public arch::Component {
  public:
   using Precondition = std::function<bool(std::int64_t input)>;
@@ -33,8 +27,7 @@ class ContractedComponent final : public arch::Component {
   using Invariant = std::function<bool()>;
 
   ContractedComponent(std::string id, std::shared_ptr<arch::Component> inner,
-                      Precondition pre, Postcondition post, Invariant invariant,
-                      ViolationPolicy policy = ViolationPolicy::kFailCall);
+                      Precondition pre, Postcondition post, Invariant invariant);
 
   Result process(std::int64_t input) override;
 
@@ -47,14 +40,12 @@ class ContractedComponent final : public arch::Component {
   [[nodiscard]] std::uint64_t invariant_violations() const noexcept {
     return inv_violations_;
   }
-  [[nodiscard]] ViolationPolicy policy() const noexcept { return policy_; }
 
  private:
   std::shared_ptr<arch::Component> inner_;
   Precondition pre_;
   Postcondition post_;
   Invariant invariant_;
-  ViolationPolicy policy_;
   std::uint64_t pre_violations_ = 0;
   std::uint64_t post_violations_ = 0;
   std::uint64_t inv_violations_ = 0;

@@ -1,5 +1,6 @@
 #include "manifest/manifest.hpp"
 
+#include <charconv>
 #include <sstream>
 
 namespace aft::manifest {
@@ -32,21 +33,78 @@ core::BindingTime binding_from_text(std::size_t line, const std::string& text) {
   throw ManifestError(line, "unknown binding time '" + text + "'");
 }
 
-/// Typed value parse: bool, then integer, then double, else raw string.
-core::ContextValue parse_value(const std::string& text) {
+/// Clause bounds are written so that parse_value() reads back the same
+/// type and value: a double in its shortest round-trip form, kept visibly
+/// non-integral ("10.0", "1e+20", "inf"); a string always quoted, so "3" or
+/// "true" cannot come back as a number or a bool.
+std::string quote(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      default: out += c;
+    }
+  }
+  return out + '"';
+}
+
+std::string format_value(const core::ContextValue& v) {
+  if (const auto* d = std::get_if<double>(&v)) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, *d);
+    std::string out(buf, res.ptr);
+    if (out.find_first_of(".ein") == std::string::npos) out += ".0";
+    return out;
+  }
+  if (const auto* text = std::get_if<std::string>(&v)) return quote(*text);
+  return contract::to_string(v);
+}
+
+std::string unquote(std::size_t line, const std::string& text) {
+  if (text.size() < 2 || text.back() != '"') {
+    throw ManifestError(line, "unterminated string " + text);
+  }
+  std::string out;
+  for (std::size_t i = 1; i + 1 < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '"') throw ManifestError(line, "unescaped quote in " + text);
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++i + 1 >= text.size()) {
+      throw ManifestError(line, "dangling escape in " + text);
+    }
+    switch (text[i]) {
+      case '\\': out += '\\'; break;
+      case '"': out += '"'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      default: throw ManifestError(line, "unknown escape in " + text);
+    }
+  }
+  return out;
+}
+
+/// Typed value parse: a quoted string, then bool, integer and double; any
+/// other unquoted text (a hand-written manifest) is a raw string.
+core::ContextValue parse_value(std::size_t line, const std::string& text) {
+  if (!text.empty() && text.front() == '"') return unquote(line, text);
   if (text == "true") return true;
   if (text == "false") return false;
-  try {
-    std::size_t used = 0;
-    const long long i = std::stoll(text, &used);
-    if (used == text.size()) return static_cast<std::int64_t>(i);
-  } catch (...) {  // NOLINT(bugprone-empty-catch): fall through to double
+  const char* const end = text.data() + text.size();
+  std::int64_t i = 0;
+  if (const auto r = std::from_chars(text.data(), end, i);
+      r.ec == std::errc{} && r.ptr == end) {
+    return i;
   }
-  try {
-    std::size_t used = 0;
-    const double d = std::stod(text, &used);
-    if (used == text.size()) return d;
-  } catch (...) {  // NOLINT(bugprone-empty-catch): fall through to string
+  double d = 0.0;
+  if (const auto r = std::from_chars(text.data(), end, d);
+      r.ec == std::errc{} && r.ptr == end) {
+    return d;
   }
   return text;
 }
@@ -89,7 +147,7 @@ std::string Manifest::serialize() const {
         << "stated_at = " << binding_to_text(a.stated_at) << "\n"
         << "expect_key = " << a.expectation.key << "\n"
         << "expect_op = " << contract::to_string(a.expectation.op) << "\n"
-        << "expect_value = " << contract::to_string(a.expectation.bound) << "\n";
+        << "expect_value = " << format_value(a.expectation.bound) << "\n";
   }
   for (const arch::DagSnapshot& d : architectures) {
     out << "\n[architecture]\n"
@@ -189,7 +247,7 @@ Manifest Manifest::parse(const std::string& text) {
           if (!op.has_value()) throw ManifestError(line_no, "bad op '" + value + "'");
           current_assumption.expectation.op = *op;
         } else if (key == "expect_value") {
-          current_assumption.expectation.bound = parse_value(value);
+          current_assumption.expectation.bound = parse_value(line_no, value);
         } else {
           throw ManifestError(line_no, "unknown [assumption] key '" + key + "'");
         }

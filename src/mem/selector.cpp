@@ -1,7 +1,6 @@
 #include "mem/selector.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 #include "mem/method_ecc.hpp"
@@ -204,27 +203,6 @@ std::unique_ptr<IMemoryAccessMethod> MethodSelector::instantiate(
     devices.push_back(machine.bank(i).chip.get());
   }
   return it->build(devices);
-}
-
-std::string generate_config_header(const SelectionReport& report) {
-  if (!report.selected()) {
-    throw std::invalid_argument(
-        "generate_config_header: deployment was refused; nothing to configure");
-  }
-  // Macro-safe method token: "M3-sel-mirror" -> "M3_SEL_MIRROR".
-  std::string token;
-  for (const char c : report.chosen) {
-    token += (c == '-') ? '_' : static_cast<char>(std::toupper(c));
-  }
-  std::string out;
-  out += "// Generated by aft::mem::MethodSelector - DO NOT EDIT.\n";
-  out += "// Audit trail:\n";
-  for (const auto& line : report.log) out += "//   " + line + "\n";
-  out += "#pragma once\n";
-  out += "#define AFT_MEMORY_BEHAVIOUR \"" + report.required_label + "\"\n";
-  out += "#define AFT_MEMORY_METHOD \"" + report.chosen + "\"\n";
-  out += "#define AFT_MEMORY_METHOD_" + token + " 1\n";
-  return out;
 }
 
 MethodSelector::Selection MethodSelector::select(hw::Machine& machine) const {

@@ -112,12 +112,4 @@ class MethodSelector {
 /// like "f2+f3" when no single assumption covers it).
 [[nodiscard]] std::string label_of(const FaultModes& modes);
 
-/// Renders the selection as a generated C++ configuration header — the
-/// literal artifact of the paper's "Autoconf-like toolset": the checking
-/// rules run at configure time and their conclusion is baked into the build,
-/// together with the audit trail as comments (so the decision is never
-/// hidden intelligence).  Throws std::invalid_argument when the report
-/// selected nothing (a refused deployment has no config to generate).
-[[nodiscard]] std::string generate_config_header(const SelectionReport& report);
-
 }  // namespace aft::mem

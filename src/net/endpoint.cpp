@@ -228,8 +228,7 @@ void Endpoint::receive(Frame&& frame) {
       ++heartbeats_received_;
       if (heartbeat_handler_) heartbeat_handler_(frame.origin);
       return;
-    case FrameKind::kData:
-      if (data_handler_) data_handler_(std::move(frame));
+    case FrameKind::kData:  // no plane consumes raw datagrams
       return;
   }
 }
@@ -312,13 +311,6 @@ void Endpoint::async_respond(std::uint64_t id, std::uint32_t aux, bool ok,
              {"ok", ok},
              {"rejected", rejected}});
   if (out_ != nullptr) out_->send(std::move(response));
-}
-
-void Endpoint::send_data(Frame frame) {
-  if (out_ == nullptr) throw std::logic_error("Endpoint: not attached");
-  frame.kind = FrameKind::kData;
-  frame.id = ++data_seq_;
-  out_->send(std::move(frame));
 }
 
 void Endpoint::start_heartbeats(sim::SimTime period) {

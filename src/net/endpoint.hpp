@@ -1,13 +1,11 @@
 // One node's attachment point to the simulated network: an Endpoint owns
 // the node side of a Link pair and demultiplexes arriving frames into the
-// three planes the Sect. 3.2/3.3 fabric needs —
+// two planes the Sect. 3.3 fabric needs —
 //
 //   RPC      call()/serve(): request/response with a per-call deadline,
 //            RetryPolicy-driven re-attempts (exponential backoff +
 //            deterministic jitter, attempt and time budgets), and an
 //            optional CircuitBreaker consulted before every attempt.
-//   pub/sub  send_data()/on_data(): the raw datagram plane net::BusBridge
-//            forwards arch::EventBus topics over.
 //   liveness start_heartbeats()/on_heartbeat(): periodic beats feeding the
 //            peer's net::Membership (detect::HeartbeatMonitor underneath).
 //
@@ -90,7 +88,6 @@ class Endpoint {
   using Handler =
       std::function<bool(const std::string& request, std::string& response)>;
   using Callback = std::function<void(const RpcResult&)>;
-  using DataHandler = std::function<void(Frame&&)>;
   using HeartbeatHandler = std::function<void(const std::string& origin)>;
 
   /// One-shot reply capability handed to an async handler (serve_async):
@@ -148,10 +145,6 @@ class Endpoint {
   /// Starts one RPC.  The callback fires exactly once, at completion.
   void call(const std::string& method, const std::string& payload,
             const CallOptions& options, Callback callback);
-
-  /// Raw datagram plane (BusBridge): forwards `frame` as kData.
-  void send_data(Frame frame);
-  void on_data(DataHandler handler) { data_handler_ = std::move(handler); }
 
   /// Emits a heartbeat now and then every `period` ticks until stopped.
   void start_heartbeats(sim::SimTime period);
@@ -223,12 +216,10 @@ class Endpoint {
   std::vector<Call> calls_;         ///< slot-indexed in-flight call pool
   std::vector<std::uint32_t> free_calls_;  ///< recycled slots, LIFO
   std::size_t outstanding_ = 0;
-  DataHandler data_handler_;
   HeartbeatHandler heartbeat_handler_;
   sim::SimTime hb_period_ = 0;
   std::uint64_t hb_epoch_ = 0;
   std::uint64_t hb_seq_ = 0;
-  std::uint64_t data_seq_ = 0;
   std::uint64_t heartbeats_received_ = 0;
   RpcCounters counters_;
 };

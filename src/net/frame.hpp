@@ -1,7 +1,8 @@
 // The wire unit of the simulated network fabric.  One Frame is one datagram
 // on a net::Link; net::Endpoint demultiplexes arriving frames by kind:
 // kRequest/kResponse carry the RPC plane, kHeartbeat the liveness plane
-// (net::Membership), kData the forwarded pub/sub plane (net::BusBridge).
+// (net::Membership).  kData is a raw datagram that a bare Link carries like
+// any other frame and that no Endpoint plane consumes.
 //
 // Frames are plain structs rather than serialized byte strings: the paper's
 // Sect. 3.2 fabric only relies on *which* notifications arrive, in *what*
@@ -16,7 +17,7 @@
 namespace aft::net {
 
 enum class FrameKind : std::uint8_t {
-  kData,       ///< forwarded bus message (method = topic, origin = source)
+  kData,       ///< raw datagram (Link-level use; Endpoint ignores it)
   kRequest,    ///< RPC request (id = call id, aux = attempt)
   kResponse,   ///< RPC response (ok = handler verdict, echoes id/aux)
   kHeartbeat,  ///< liveness beat (id = beat sequence, origin = sender node)
@@ -33,10 +34,10 @@ struct Frame {
   /// retry, not an application error.
   bool rejected = false;
   std::uint32_t aux = 0;    ///< RPC attempt number (request/response)
-  std::uint64_t id = 0;     ///< RPC call id / beat sequence / data sequence
-  std::string method;       ///< RPC method name / bus topic
-  std::string payload;      ///< request/response body / bus payload
-  std::string origin;       ///< sending node name / bus source
+  std::uint64_t id = 0;     ///< RPC call id / beat sequence
+  std::string method;       ///< RPC method name
+  std::string payload;      ///< request/response body
+  std::string origin;       ///< sending node name
 };
 
 }  // namespace aft::net

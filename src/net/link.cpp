@@ -70,6 +70,8 @@ bool Link::send(Frame frame) {
     note_drop(frame, "loss");
     return false;
   }
+  // Frames that got onto the wire (a duplicated frame counts once); unlike
+  // LinkCounters::sent, which also counts the send() calls dropped above.
   AFT_METRIC_ADD("net.link.sent", 1);
 
   // The send record becomes the cause of every delivery continuation

@@ -63,7 +63,10 @@ struct LinkFaults {
 
 /// Lifetime tallies of one link's wire history.
 struct LinkCounters {
-  std::uint64_t sent = 0;        ///< send() calls
+  /// Every send() call, including frames the partition or the loss model
+  /// swallowed before the wire.  Not the `net.link.sent` metric, which
+  /// counts only frames that got onto the wire.
+  std::uint64_t sent = 0;
   std::uint64_t delivered = 0;   ///< frames handed to the receiver
   std::uint64_t dropped = 0;     ///< stochastic drops + partition swallows
   std::uint64_t duplicated = 0;  ///< extra copies scheduled

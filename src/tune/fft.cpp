@@ -1,7 +1,6 @@
 #include "tune/fft.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -92,10 +91,9 @@ const char* to_string(PlanKind k) noexcept {
   return "unknown";
 }
 
-Plan FftPlanner::plan_for(std::size_t n) {
-  if (n == 0) throw std::invalid_argument("FftPlanner: size must be >= 1");
-  if (const auto it = cache_.find(n); it != cache_.end()) return it->second;
-  ++plannings_;
+Plan plan_for(std::size_t n) {
+  if (n == 0) throw std::invalid_argument("plan_for: size must be >= 1");
+  constexpr int kTrials = 3;
 
   // Synthetic planning input (contents are irrelevant to the timing).
   Signal probe(n);
@@ -113,7 +111,7 @@ Plan FftPlanner::plan_for(std::size_t n) {
   double best_ns = -1.0;
   for (const PlanKind kind : candidates) {
     double fastest = -1.0;
-    for (int trial = 0; trial < trials_; ++trial) {
+    for (int trial = 0; trial < kTrials; ++trial) {
       const auto start = std::chrono::steady_clock::now();
       const Signal out = execute(Plan{kind, 0.0}, probe);
       const auto stop = std::chrono::steady_clock::now();
@@ -130,71 +128,16 @@ Plan FftPlanner::plan_for(std::size_t n) {
       best = Plan{kind, fastest / static_cast<double>(n)};
     }
   }
-  cache_[n] = best;
   return best;
 }
 
-Signal FftPlanner::execute(const Plan& plan, const Signal& input) const {
+Signal execute(const Plan& plan, const Signal& input) {
   switch (plan.kind) {
     case PlanKind::kNaive: return naive_dft(input);
     case PlanKind::kRecursive: return fft_recursive(input);
     case PlanKind::kIterative: return fft_iterative(input);
   }
   return naive_dft(input);
-}
-
-Signal FftPlanner::transform(const Signal& input) {
-  return execute(plan_for(input.size()), input);
-}
-
-std::string FftPlanner::export_wisdom() const {
-  std::string out = "# aft fft wisdom\n";
-  for (const auto& [n, plan] : cache_) {
-    out += std::to_string(n) + " " + to_string(plan.kind) + " " +
-           std::to_string(plan.measured_ns_per_point) + "\n";
-  }
-  return out;
-}
-
-void FftPlanner::import_wisdom(const std::string& wisdom) {
-  std::map<std::size_t, Plan> incoming;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < wisdom.size()) {
-    const std::size_t end = wisdom.find('\n', pos);
-    const std::string line =
-        wisdom.substr(pos, end == std::string::npos ? std::string::npos : end - pos);
-    pos = end == std::string::npos ? wisdom.size() : end + 1;
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-
-    std::size_t n = 0;
-    char kind_buf[32] = {};
-    double ns = 0.0;
-    if (std::sscanf(line.c_str(), "%zu %31s %lf", &n, kind_buf, &ns) != 3 || n == 0) {
-      throw std::invalid_argument("fft wisdom line " + std::to_string(line_no) +
-                                  ": malformed '" + line + "'");
-    }
-    const std::string kind_text(kind_buf);
-    Plan plan;
-    plan.measured_ns_per_point = ns;
-    if (kind_text == to_string(PlanKind::kNaive)) {
-      plan.kind = PlanKind::kNaive;
-    } else if (kind_text == to_string(PlanKind::kRecursive)) {
-      plan.kind = PlanKind::kRecursive;
-    } else if (kind_text == to_string(PlanKind::kIterative)) {
-      plan.kind = PlanKind::kIterative;
-    } else {
-      throw std::invalid_argument("fft wisdom line " + std::to_string(line_no) +
-                                  ": unknown plan kind '" + kind_text + "'");
-    }
-    if (plan.kind != PlanKind::kNaive && !is_pow2(n)) {
-      throw std::invalid_argument("fft wisdom line " + std::to_string(line_no) +
-                                  ": fast plan for non-power-of-two size");
-    }
-    incoming[n] = plan;
-  }
-  for (const auto& [n, plan] : incoming) cache_[n] = plan;
 }
 
 }  // namespace aft::tune

@@ -17,8 +17,6 @@
 
 #include <complex>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace aft::tune {
@@ -45,40 +43,14 @@ struct Plan {
   double measured_ns_per_point = 0.0;  ///< from the planning measurement
 };
 
-/// FFTW-style planner: on the first request for a size, times every
-/// applicable candidate on this machine and caches the winner.
-class FftPlanner {
- public:
-  /// `trials` measurement repetitions per candidate (more = less noise).
-  explicit FftPlanner(int trials = 3) : trials_(trials) {}
+/// FFTW-style planner: times every applicable candidate for size `n` on
+/// this machine (fastest of three runs each) and binds the fastest.
+/// Non-power-of-two sizes always plan kNaive — the only general candidate.
+/// n must be >= 1.
+[[nodiscard]] Plan plan_for(std::size_t n);
 
-  /// Returns the cached or freshly measured plan for size `n`
-  /// (non-power-of-two sizes always plan kNaive — the only general
-  /// candidate).  n must be >= 1.
-  [[nodiscard]] Plan plan_for(std::size_t n);
-
-  /// Executes the plan; the plan must have been produced for input.size().
-  [[nodiscard]] Signal execute(const Plan& plan, const Signal& input) const;
-
-  /// Convenience: plan (or reuse the cache) and execute.
-  [[nodiscard]] Signal transform(const Signal& input);
-
-  [[nodiscard]] std::size_t cached_plans() const noexcept { return cache_.size(); }
-  [[nodiscard]] std::uint64_t plannings() const noexcept { return plannings_; }
-
-  /// FFTW-style "wisdom": exports the plan cache as text so a later run (or
-  /// another process on the same machine) skips the measurements.
-  [[nodiscard]] std::string export_wisdom() const;
-
-  /// Imports wisdom produced by export_wisdom(); malformed lines throw
-  /// std::invalid_argument and leave the cache unchanged.
-  void import_wisdom(const std::string& wisdom);
-
- private:
-  int trials_;
-  std::map<std::size_t, Plan> cache_;
-  std::uint64_t plannings_ = 0;
-};
+/// Executes the plan; the plan must have been produced for input.size().
+[[nodiscard]] Signal execute(const Plan& plan, const Signal& input);
 
 /// True when n is a power of two (and nonzero).
 [[nodiscard]] constexpr bool is_pow2(std::size_t n) noexcept {

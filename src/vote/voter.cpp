@@ -5,11 +5,10 @@
 namespace aft::vote {
 namespace {
 
-/// Longest run in a sorted range: returns {value, count, runner_up_count}.
+/// Longest run in a sorted range: {value, count}.
 struct Mode {
   Ballot value = 0;
   std::size_t count = 0;
-  std::size_t runner_up = 0;
 };
 
 Mode mode_of_sorted(std::span<const Ballot> sorted) {
@@ -20,11 +19,8 @@ Mode mode_of_sorted(std::span<const Ballot> sorted) {
     while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
     const std::size_t run = j - i;
     if (run > best.count) {
-      best.runner_up = best.count;
       best.count = run;
       best.value = sorted[i];
-    } else if (run > best.runner_up) {
-      best.runner_up = run;
     }
     i = j;
   }
@@ -52,30 +48,6 @@ VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots) {
 VoteOutcome majority_vote(std::span<const Ballot> ballots) {
   std::vector<Ballot> sorted(ballots.begin(), ballots.end());
   return majority_vote_inplace(sorted);
-}
-
-VoteOutcome plurality_vote(std::span<const Ballot> ballots) {
-  std::vector<Ballot> sorted(ballots.begin(), ballots.end());
-  std::sort(sorted.begin(), sorted.end());
-  const Mode mode = mode_of_sorted(sorted);
-  VoteOutcome out = outcome_from_mode(mode, sorted.size());
-  // Plurality accepts a unique mode even without strict majority.  The mode
-  // helper tracks the runner-up run length; a tie means no unique winner.
-  // Ties resolve toward the smaller value only when counts differ; equal
-  // counts yield failure.
-  if (!out.has_majority && !sorted.empty()) {
-    out.has_majority = mode.count > mode.runner_up;
-  }
-  return out;
-}
-
-std::optional<Ballot> median_vote(std::span<const Ballot> ballots) {
-  if (ballots.empty()) return std::nullopt;
-  std::vector<Ballot> sorted(ballots.begin(), ballots.end());
-  const std::size_t mid = (sorted.size() - 1) / 2;  // lower median
-  std::nth_element(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(mid),
-                   sorted.end());
-  return sorted[mid];
 }
 
 }  // namespace aft::vote

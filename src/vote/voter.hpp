@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -14,7 +13,7 @@ using Ballot = std::int64_t;
 /// Outcome of one voting round over n ballots.
 struct VoteOutcome {
   bool has_majority = false;     ///< strict majority (> n/2) agreed
-  Ballot winner = 0;             ///< meaningful when has_majority (or plurality)
+  Ballot winner = 0;             ///< meaningful when has_majority
   std::size_t agreeing = 0;      ///< ballots equal to the winner
   std::size_t dissent = 0;       ///< m: ballots differing from the majority
   std::size_t n = 0;
@@ -26,14 +25,5 @@ struct VoteOutcome {
 /// Allocation-free variant for hot loops (the 65M-round Fig. 7 experiment):
 /// sorts `ballots` in place instead of copying.
 [[nodiscard]] VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots);
-
-/// Plurality voter: the most frequent value wins even without a strict
-/// majority (ties broken toward the smallest value, deterministically).
-[[nodiscard]] VoteOutcome plurality_vote(std::span<const Ballot> ballots);
-
-/// Median voter for numeric ballots (inexact agreement): robust to up to
-/// floor(n/2) arbitrarily wrong values.  Even-sized inputs take the lower
-/// median to stay within the ballot set.
-[[nodiscard]] std::optional<Ballot> median_vote(std::span<const Ballot> ballots);
 
 }  // namespace aft::vote

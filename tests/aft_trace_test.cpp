@@ -10,9 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/event_bus.hpp"
 #include "autonomic/experiment.hpp"
-#include "net/bridge.hpp"
 #include "net/endpoint.hpp"
 #include "net/link.hpp"
 #include "obs/obs.hpp"
@@ -20,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "trace_analysis.hpp"
 #include "trace_reader.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -297,55 +296,108 @@ TEST(TraceAnalysisTest, SummaryCountsClassesAndChains) {
   EXPECT_NE(summary.find("causal chains: 1"), std::string::npos);
 }
 
-#if !defined(AFT_OBS_DISABLED)
+// --- Seeded mutation of real traces -----------------------------------------
+//
+// Both readers take files from crashed runs, partial copies and hand edits.
+// Every mutant of a real trace (byte flips, truncations, insertions) must
+// either parse or be refused with an error; it must never crash or read out
+// of bounds.  The ASan/UBSan build runs this like every other test.
 
-// Acceptance: cause chains survive the wire.  A message published on node
-// A's bus and re-published on node B's bus by the bridge pair must leave a
-// trace in which `why <remote publish>` walks back through the link send to
-// the originating publish on A.
-TEST(TraceAnalysisTest, WhyOnARemotePublishReachesTheOriginatingPublish) {
-  TraceSink sink;
-  std::string jsonl;
-  {
-    ScopedObs scope(&sink, nullptr);
-    aft::sim::Simulator sim;
-    aft::arch::EventBus bus_a;
-    aft::arch::EventBus bus_b;
-    aft::net::Link a2b(sim, "a->b", aft::net::LinkFaults{}, 51);
-    aft::net::Link b2a(sim, "b->a", aft::net::LinkFaults{}, 52);
-    aft::net::Endpoint ep_a(sim, "node-a", 53);
-    aft::net::Endpoint ep_b(sim, "node-b", 54);
-    ep_a.attach(b2a, a2b);
-    ep_b.attach(a2b, b2a);
-    aft::net::BusBridge bridge_a(bus_a, ep_a, "A");
-    aft::net::BusBridge bridge_b(bus_b, ep_b, "B");
-    bridge_a.forward_topic("detect.clash");
-    bus_a.publish({"detect.clash", "detector-7", "threshold crossed"});
-    sim.run_all();
-    jsonl = sink.jsonl();
-  }
-  const Trace trace = parse(jsonl);
-
-  // The remote re-publish is the second arch.bus/publish record.
-  const TraceEvent* remote = nullptr;
-  for (const TraceEvent& e : trace.events) {
-    if (e.component == "arch.bus" && e.event == "publish") remote = &e;
-  }
-  ASSERT_NE(remote, nullptr);
-
-  const auto chain = aft::tools::causal_chain(trace, remote->seq);
-  ASSERT_EQ(chain.size(), 3u);
-  EXPECT_EQ(chain[0]->component, "arch.bus");
-  EXPECT_EQ(chain[0]->event, "publish");
-  EXPECT_NE(chain[0], remote);  // the *originating* publish on node A
-  EXPECT_EQ(chain[1]->component, "net.link");
-  EXPECT_EQ(chain[1]->event, "send");
-  EXPECT_EQ(chain[2], remote);
-
-  const std::string why = aft::tools::render_why(trace, remote->seq);
-  EXPECT_NE(why.find("arch.bus/publish"), std::string::npos);
-  EXPECT_NE(why.find("net.link/send"), std::string::npos);
+/// A real sink trace: every field kind the writer knows, cause and span
+/// references, then a Fig. 6 run (obs builds only) until the sink's event
+/// limit truncates it, so the truncation footer is in the file too.
+const TraceSink& mutation_source() {
+  static const TraceSink sink = [] {
+    TraceSink s(/*max_events=*/300);
+    s.set_time(3);
+    const auto origin = s.emit(
+        "hw.inject", "seu",
+        {{"addr", 42u}, {"delta", std::int64_t{-17}}, {"rate", 0.125}});
+    s.set_cause(origin);
+    s.set_span(origin);
+    s.set_time(1000000);
+    s.emit("detect", "latch",
+           {{"latched", true},
+            {"s", "a\"b\\c\n\x01"},
+            {"nan", std::nan("")},
+            {"inf", -1.0 / 0.0}});
+    s.set_cause(aft::obs::kNoEvent);
+    s.set_span(aft::obs::kNoEvent);
+    {
+      ScopedObs scope(&s, nullptr);
+      aft::autonomic::ExperimentConfig config;
+      config.seed = 2009;
+      (void)aft::autonomic::run_adaptation_experiment(
+          config, aft::autonomic::fig6_script());
+    }
+    return s;
+  }();
+  return sink;
 }
+
+enum class Mutation { kFlip, kTruncate, kInsert };
+
+std::string mutate(const std::string& good, Mutation kind,
+                   aft::util::Xoshiro256& rng) {
+  std::string m = good;
+  switch (kind) {
+    case Mutation::kFlip:
+      for (auto n = rng.uniform_int(1, 8); n > 0; --n) {
+        const auto at = rng.uniform_int(0, m.size() - 1);
+        m[at] = static_cast<char>(m[at] ^ static_cast<char>(rng.uniform_int(1, 255)));
+      }
+      break;
+    case Mutation::kTruncate:
+      m.resize(rng.uniform_int(0, m.size() - 1));
+      break;
+    case Mutation::kInsert: {
+      std::string junk(rng.uniform_int(1, 16), '\0');
+      for (char& c : junk) c = static_cast<char>(rng.uniform_int(0, 255));
+      m.insert(rng.uniform_int(0, m.size()), junk);
+      break;
+    }
+  }
+  return m;
+}
+
+/// Parses 300 mutants of each kind; returns how many were accepted.
+std::size_t survive_mutants(const std::string& good, std::uint64_t seed) {
+  std::string error;
+  EXPECT_TRUE(aft::tools::parse_trace_data(good, error).has_value()) << error;
+  aft::util::Xoshiro256 rng(seed);
+  std::size_t accepted = 0;
+  for (const Mutation kind :
+       {Mutation::kFlip, Mutation::kTruncate, Mutation::kInsert}) {
+    for (int i = 0; i < 300; ++i) {
+      const std::string mutant = mutate(good, kind, rng);
+      error.clear();
+      const auto trace = aft::tools::parse_trace_data(mutant, error);
+      if (trace.has_value()) {
+        ++accepted;
+        continue;
+      }
+      EXPECT_FALSE(error.empty())
+          << "mutant " << i << " of kind " << static_cast<int>(kind)
+          << " was refused without an error";
+    }
+  }
+  return accepted;
+}
+
+TEST(TraceReaderMutationTest, BinaryMutantsParseOrFailCleanly) {
+  const std::string good = mutation_source().binary();
+  ASSERT_EQ(good.compare(0, 4, "AFTB"), 0);
+  const std::size_t accepted = survive_mutants(good, 0xAF7B);
+  EXPECT_LT(accepted, 900u);  // the reader does refuse corrupt input
+}
+
+TEST(TraceReaderMutationTest, JsonlMutantsParseOrFailCleanly) {
+  const std::string good = mutation_source().jsonl();
+  const std::size_t accepted = survive_mutants(good, 0x75011);
+  EXPECT_LT(accepted, 900u);
+}
+
+#if !defined(AFT_OBS_DISABLED)
 
 // Acceptance: an RPC completion chains back to its call through both wire
 // hops (request send and response send).

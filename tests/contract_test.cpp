@@ -214,18 +214,6 @@ TEST(ContractedComponentTest, InvariantViolationFailsCall) {
   EXPECT_EQ(c.invariant_violations(), 1u);
 }
 
-TEST(ContractedComponentTest, MonitorModeCountsButPasses) {
-  auto inner = std::make_shared<aft::arch::ScriptedComponent>(
-      "i", [](std::int64_t v) { return v + 1; });
-  ContractedComponent c("c", inner, nullptr,
-                        [](std::int64_t, std::int64_t) { return false; }, nullptr,
-                        ViolationPolicy::kPassThrough);
-  const auto r = c.process(5);
-  EXPECT_TRUE(r.ok);  // monitor mode: observe, do not interfere
-  EXPECT_EQ(r.value, 6);
-  EXPECT_EQ(c.postcondition_violations(), 1u);
-}
-
 TEST(ContractedComponentTest, InnerFailureIsNotAContractViolation) {
   auto inner = std::make_shared<aft::arch::ScriptedComponent>("i");
   ContractedComponent c("c", inner, nullptr,

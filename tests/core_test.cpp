@@ -1,17 +1,15 @@
 // Tests for the assumption framework: typed assumptions, the registry,
-// postponed-binding variables, Boulding classification, syndromes, guards,
-// and the run-time context monitor.
+// postponed-binding variables, Boulding classification, syndromes and
+// guards.
 #include <gtest/gtest.h>
 
 #include "core/assumption.hpp"
 #include "core/boulding.hpp"
 #include "core/context.hpp"
 #include "core/guard.hpp"
-#include "core/monitor.hpp"
 #include "core/registry.hpp"
 #include "core/syndrome.hpp"
 #include "core/variable.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -335,40 +333,6 @@ TEST(GuardTest, EnvelopeGuardTracksWorstExcursion) {
   EXPECT_FALSE(g.admit(-40000));
   EXPECT_EQ(g.violations(), 3u);
   EXPECT_DOUBLE_EQ(g.worst_excursion(), 50000 - 32767);
-}
-
-// --- ContextMonitor ----------------------------------------------------------------
-
-TEST(MonitorTest, PeriodicVerificationAndRevisionSkip) {
-  aft::sim::Simulator sim;
-  AssumptionRegistry reg;
-  Context ctx;
-  ctx.set("k", std::int64_t{1});
-  reg.emplace<std::int64_t>("a", "k is 1", Subject::kExecutionEnvironment,
-                            test_provenance(), 1, "k");
-  ContextMonitor monitor(sim, reg, ctx, /*period=*/10);
-  monitor.start();
-  sim.run_until(55);  // cycles at t=10..50
-  EXPECT_EQ(monitor.cycles(), 5u);
-  // First cycle verified; the other four saw an unchanged revision.
-  EXPECT_EQ(monitor.skipped_cycles(), 4u);
-  EXPECT_EQ(monitor.clashes_seen(), 0u);
-
-  ctx.set("k", std::int64_t{2});  // context change -> next cycle clashes
-  sim.run_until(65);
-  EXPECT_EQ(monitor.clashes_seen(), 1u);
-
-  monitor.stop();
-  sim.run_all();
-  const auto cycles_after_stop = monitor.cycles();
-  EXPECT_LE(cycles_after_stop, monitor.cycles());
-}
-
-TEST(MonitorTest, ZeroPeriodRejected) {
-  aft::sim::Simulator sim;
-  AssumptionRegistry reg;
-  Context ctx;
-  EXPECT_THROW(ContextMonitor(sim, reg, ctx, 0), std::invalid_argument);
 }
 
 }  // namespace

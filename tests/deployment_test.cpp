@@ -1,5 +1,5 @@
-// Tests for the deployment gate (qualify_deployment), context merging,
-// FFT wisdom persistence, and the umbrella header.
+// Tests for the deployment gate (qualify_deployment), context merging, and
+// the umbrella header.
 #include <gtest/gtest.h>
 
 #include "aft.hpp"  // the umbrella: compiling this test validates it
@@ -105,36 +105,6 @@ TEST(ContextMergeTest, OverwritesAndBumpsRevision) {
   const auto rev2 = a.revision();
   a.merge(core::Context{});
   EXPECT_EQ(a.revision(), rev2);
-}
-
-// --- FFT wisdom -----------------------------------------------------------------------
-
-TEST(WisdomTest, ExportImportRoundTrip) {
-  tune::FftPlanner measuring(1);
-  (void)measuring.plan_for(64);
-  (void)measuring.plan_for(12);
-  const std::string wisdom = measuring.export_wisdom();
-
-  tune::FftPlanner informed(1);
-  informed.import_wisdom(wisdom);
-  EXPECT_EQ(informed.cached_plans(), 2u);
-  (void)informed.plan_for(64);
-  (void)informed.plan_for(12);
-  EXPECT_EQ(informed.plannings(), 0u);  // no re-measurement needed
-  // Imported plans still execute correctly.
-  tune::Signal input(64, tune::Complex{1, 0});
-  EXPECT_EQ(informed.transform(input).size(), 64u);
-}
-
-TEST(WisdomTest, MalformedWisdomRejectedAtomically) {
-  tune::FftPlanner planner(1);
-  EXPECT_THROW(planner.import_wisdom("64 iterative-fft\n"), std::invalid_argument);
-  EXPECT_THROW(planner.import_wisdom("64 warp-drive 1.0\n"), std::invalid_argument);
-  EXPECT_THROW(planner.import_wisdom("12 iterative-fft 1.0\n"),
-               std::invalid_argument);  // fast plan for non-pow2
-  EXPECT_EQ(planner.cached_plans(), 0u);  // nothing leaked in
-  planner.import_wisdom("# only comments\n\n");
-  EXPECT_EQ(planner.cached_plans(), 0u);
 }
 
 }  // namespace

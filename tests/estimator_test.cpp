@@ -1,91 +1,10 @@
-// Tests for the time-redundancy pattern and the disturbance estimator.
+// Tests for the disturbance estimator.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "autonomic/estimator.hpp"
-#include "ftpat/time_redundancy.hpp"
 #include "vote/dtof.hpp"
 
 namespace {
-
-using aft::arch::ScriptedComponent;
-using aft::ftpat::TimeRedundancyComponent;
-
-std::shared_ptr<ScriptedComponent> plus_one(const std::string& id) {
-  return std::make_shared<ScriptedComponent>(id,
-                                             [](std::int64_t v) { return v + 1; });
-}
-
-TEST(TimeRedundancyTest, ConstructorValidation) {
-  EXPECT_THROW(TimeRedundancyComponent("t", nullptr), std::invalid_argument);
-  EXPECT_THROW(TimeRedundancyComponent("t", plus_one("i"), 1), std::invalid_argument);
-}
-
-TEST(TimeRedundancyTest, CleanPath) {
-  auto inner = plus_one("i");
-  TimeRedundancyComponent tr("t", inner, 2);
-  const auto r = tr.process(41);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 42);
-  EXPECT_EQ(inner->invocations(), 2u);  // both executions ran
-  EXPECT_EQ(tr.disagreements(), 0u);
-}
-
-TEST(TimeRedundancyTest, DuplexDetectsSilentCorruptionAndRetries) {
-  auto inner = plus_one("i");
-  TimeRedundancyComponent tr("t", inner, 2, /*max_round_retries=*/4);
-  inner->corrupt_next(1, 100);  // one of the two executions silently wrong
-  const auto r = tr.process(0);
-  EXPECT_TRUE(r.ok);            // retry round agreed
-  EXPECT_EQ(r.value, 1);        // the corruption never escaped
-  EXPECT_EQ(tr.disagreements(), 1u);
-  EXPECT_EQ(tr.round_retries(), 1u);
-}
-
-TEST(TimeRedundancyTest, TriplexOutvotesCorruptionWithoutRetry) {
-  auto inner = plus_one("i");
-  TimeRedundancyComponent tr("t", inner, 3);
-  inner->corrupt_next(1, 100);
-  const auto r = tr.process(0);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 1);
-  EXPECT_EQ(tr.disagreements(), 1u);
-  EXPECT_EQ(tr.round_retries(), 0u);  // majority of 3: no re-run needed
-}
-
-TEST(TimeRedundancyTest, SignalledFailureIsRetriedAsARound) {
-  auto inner = plus_one("i");
-  TimeRedundancyComponent tr("t", inner, 2, 4);
-  inner->fail_next(1);
-  EXPECT_TRUE(tr.process(0).ok);
-  EXPECT_EQ(tr.round_retries(), 1u);
-}
-
-TEST(TimeRedundancyTest, PermanentFaultExhaustsRounds) {
-  // The pattern's blind spot, stated in the header: a permanent fault
-  // defeats time redundancy (every round fails identically).
-  auto inner = plus_one("i");
-  TimeRedundancyComponent tr("t", inner, 2, 3);
-  inner->fail_always();
-  EXPECT_FALSE(tr.process(0).ok);
-  EXPECT_EQ(tr.round_failures(), 1u);
-  EXPECT_EQ(tr.round_retries(), 3u);
-}
-
-TEST(TimeRedundancyTest, ConsistentCorruptionEscapesDuplex) {
-  // Equally fundamental: if BOTH executions are identically corrupted
-  // (common-mode), comparison cannot see it.
-  auto inner = plus_one("i");
-  TimeRedundancyComponent tr("t", inner, 2);
-  inner->corrupt_next(2, 100);  // both executions corrupted identically
-  const auto r = tr.process(0);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 101);  // wrong, agreed: undetectable by time redundancy
-  EXPECT_EQ(tr.disagreements(), 0u);
-}
-
-// --- DisturbanceEstimator -------------------------------------------------------
 
 aft::vote::RoundReport round_of(std::size_t n, std::size_t dissent, bool ok = true) {
   aft::vote::RoundReport r;

@@ -5,10 +5,8 @@
 #include <memory>
 
 #include "arch/middleware.hpp"
-#include "ftpat/nversion.hpp"
 #include "ftpat/pattern_switcher.hpp"
 #include "ftpat/reconfiguration.hpp"
-#include "ftpat/recovery_blocks.hpp"
 #include "ftpat/redoing.hpp"
 
 namespace {
@@ -104,112 +102,6 @@ TEST(ReconfigurationTest, ExhaustedSparesFail) {
   b->fail_always();
   EXPECT_FALSE(reconf.process(0).ok);
   EXPECT_EQ(reconf.spares_remaining(), 0u);
-}
-
-// --- Recovery Blocks ----------------------------------------------------------------
-
-TEST(RecoveryBlocksTest, ConstructorValidation) {
-  auto a = scripted("a");
-  EXPECT_THROW(RecoveryBlocksComponent("r", {}, [](auto, auto) { return true; }),
-               std::invalid_argument);
-  EXPECT_THROW(RecoveryBlocksComponent("r", {a}, nullptr), std::invalid_argument);
-}
-
-TEST(RecoveryBlocksTest, PrimaryPassesAcceptance) {
-  auto primary = scripted("p");
-  auto alternate = scripted("a");
-  RecoveryBlocksComponent rb("rb", {primary, alternate},
-                             [](std::int64_t, std::int64_t out) { return out > 0; });
-  EXPECT_TRUE(rb.process(5).ok);
-  EXPECT_EQ(rb.fallbacks(), 0u);
-  EXPECT_EQ(alternate->invocations(), 0u);
-}
-
-TEST(RecoveryBlocksTest, RejectedPrimaryFallsBack) {
-  // Primary has a design fault: returns a negative (unacceptable) value.
-  auto primary = std::make_shared<ScriptedComponent>(
-      "p", [](std::int64_t) { return std::int64_t{-1}; });
-  auto alternate = scripted("a");
-  RecoveryBlocksComponent rb("rb", {primary, alternate},
-                             [](std::int64_t, std::int64_t out) { return out >= 0; });
-  const auto r = rb.process(5);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 6);
-  EXPECT_EQ(rb.fallbacks(), 1u);
-  EXPECT_EQ(rb.rejections(), 1u);
-}
-
-TEST(RecoveryBlocksTest, FailedPrimaryFallsBack) {
-  auto primary = scripted("p");
-  auto alternate = scripted("a");
-  RecoveryBlocksComponent rb("rb", {primary, alternate},
-                             [](std::int64_t, std::int64_t) { return true; });
-  primary->fail_always();
-  EXPECT_TRUE(rb.process(1).ok);
-  EXPECT_EQ(rb.fallbacks(), 1u);
-  EXPECT_EQ(rb.rejections(), 0u);
-}
-
-TEST(RecoveryBlocksTest, AllAlternatesExhausted) {
-  auto a = scripted("a");
-  auto b = scripted("b");
-  RecoveryBlocksComponent rb("rb", {a, b},
-                             [](std::int64_t, std::int64_t) { return false; });
-  EXPECT_FALSE(rb.process(1).ok);
-  EXPECT_EQ(rb.exhaustions(), 1u);
-  EXPECT_EQ(rb.rejections(), 2u);
-}
-
-// --- N-Version ------------------------------------------------------------------------
-
-TEST(NVersionTest, AllAgree) {
-  NVersionComponent nv("nv", {scripted("v1"), scripted("v2"), scripted("v3")});
-  const auto r = nv.process(10);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 11);
-  EXPECT_EQ(nv.masked_divergences(), 0u);
-}
-
-TEST(NVersionTest, MasksOneDivergentVersion) {
-  auto v1 = scripted("v1");
-  auto v2 = scripted("v2");
-  auto v3 = scripted("v3");
-  NVersionComponent nv("nv", {v1, v2, v3});
-  v2->corrupt_next(1, 999);  // silent design-fault divergence
-  const auto r = nv.process(10);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 11);
-  EXPECT_EQ(nv.masked_divergences(), 1u);
-}
-
-TEST(NVersionTest, MasksOneCrashedVersion) {
-  auto v1 = scripted("v1");
-  NVersionComponent nv("nv", {v1, scripted("v2"), scripted("v3")});
-  v1->fail_always();
-  EXPECT_TRUE(nv.process(0).ok);   // 2-of-3 still a strict majority
-  EXPECT_EQ(nv.masked_divergences(), 1u);
-}
-
-TEST(NVersionTest, TwoDivergentVersionsDefeatVoting) {
-  auto v1 = scripted("v1");
-  auto v2 = scripted("v2");
-  NVersionComponent nv("nv", {v1, v2, scripted("v3")});
-  v1->corrupt_next(1, 100);
-  v2->corrupt_next(1, 200);  // three distinct answers: no majority
-  EXPECT_FALSE(nv.process(0).ok);
-  EXPECT_EQ(nv.vote_failures(), 1u);
-}
-
-TEST(NVersionTest, CommonModeFailureWinsVote) {
-  // The known NVP weakness: correlated identical errors outvote the truth.
-  auto v1 = scripted("v1");
-  auto v2 = scripted("v2");
-  NVersionComponent nv("nv", {v1, v2, scripted("v3")});
-  v1->corrupt_next(1, 100);
-  v2->corrupt_next(1, 100);  // same wrong answer
-  const auto r = nv.process(0);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 101);  // wrong, but agreed upon: voting cannot know
 }
 
 // --- PatternSwitcher (Fig. 3 + Fig. 4 combined) ------------------------------------------

@@ -59,6 +59,59 @@ TEST(ManifestTest, DoubleRoundTripIsIdentity) {
   EXPECT_EQ(once, twice);
 }
 
+// Regression: a string bound that reads as a number or bool came back
+// typed ("3" -> int64 3), and doubles were printed with 6 significant
+// digits (0.1234567 -> 0.123457), so re-qualifying from the document gave
+// different verdicts than re-qualifying the manifest in memory.
+TEST(ManifestTest, RoundTripPreservesClauseBoundsAndVerdicts) {
+  Manifest m;
+  m.name = "bounds";
+  const auto record = [](std::string id, aft::contract::Clause clause) {
+    return AssumptionRecord{.id = std::move(id),
+                            .statement = "s",
+                            .origin = "o",
+                            .rationale = "r",
+                            .expectation = std::move(clause)};
+  };
+  m.assumptions.push_back(
+      record("fw", clause_eq("firmware.rev", std::string("3"))));
+  m.assumptions.push_back(record("ratio", clause_le("load.ratio", 0.1234567)));
+  m.assumptions.push_back(
+      record("flag", clause_eq("mode", std::string("true"))));
+  m.assumptions.push_back(record(
+      "text", clause_eq("banner", std::string(" a \"quoted\" \\ line\n "))));
+  m.assumptions.push_back(record("tiny", clause_le("eps", 4.9e-324)));
+  m.assumptions.push_back(record("big", clause_le("limit", 1e20)));
+
+  const Manifest parsed = Manifest::parse(m.serialize());
+  EXPECT_EQ(parsed.assumptions, m.assumptions);
+
+  Context ctx;
+  ctx.set("firmware.rev", std::string("3"));
+  ctx.set("load.ratio", 0.1234569);
+  ctx.set("mode", std::string("true"));
+  ctx.set("banner", std::string(" a \"quoted\" \\ line\n "));
+  ctx.set("eps", 0.0);
+  ctx.set("limit", 1e19);
+  const auto ids = [](const std::vector<aft::core::Clash>& clashes) {
+    std::vector<std::string> out;
+    for (const auto& clash : clashes) out.push_back(clash.assumption_id);
+    return out;
+  };
+  const std::vector<std::string> in_memory = ids(m.requalify(ctx));
+  EXPECT_EQ(in_memory, std::vector<std::string>{"ratio"});
+  EXPECT_EQ(ids(parsed.requalify(ctx)), in_memory);
+}
+
+TEST(ManifestParseErrorTest, MalformedQuotedBound) {
+  const std::string head =
+      "[assumption]\nid = a\nexpect_key = k\nexpect_op = ==\nexpect_value = ";
+  EXPECT_THROW((void)Manifest::parse(head + "\"open\n"), ManifestError);
+  EXPECT_THROW((void)Manifest::parse(head + "\"a\"b\"\n"), ManifestError);
+  EXPECT_THROW((void)Manifest::parse(head + "\"bad \\q\"\n"), ManifestError);
+  EXPECT_THROW((void)Manifest::parse(head + "\"\\\"\n"), ManifestError);
+}
+
 TEST(ManifestTest, ParseToleratesCommentsAndBlankLines) {
   const Manifest m = Manifest::parse(
       "# header comment\n\n[meta]\nname = x\n\n# trailing comment\n");

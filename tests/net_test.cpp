@@ -1,7 +1,7 @@
 // Tests for the simulated network substrate: Link fault models, RetryPolicy
 // backoff math, the CircuitBreaker state machine, Endpoint RPC semantics
-// (deadline, retry, breaker, stale-response handling), BusBridge topic
-// forwarding, and heartbeat-based Membership over lossy links.
+// (deadline, retry, breaker, stale-response handling), and heartbeat-based
+// Membership over lossy links.
 //
 // Everything asserts on plain counters (LinkCounters, RpcCounters, breaker
 // tallies), never on metrics or trace contents, so the whole file also runs
@@ -17,9 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "arch/event_bus.hpp"
 #include "net/breaker.hpp"
-#include "net/bridge.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/link.hpp"
@@ -35,7 +33,6 @@
 
 namespace {
 
-using aft::net::BusBridge;
 using aft::net::CallOptions;
 using aft::net::CircuitBreaker;
 using aft::net::Endpoint;
@@ -434,7 +431,6 @@ TEST(RpcTest, CallValidation) {
   Endpoint unattached(sim, "lone", 1);
   EXPECT_THROW(unattached.call("echo", "x", CallOptions{}, nullptr),
                std::logic_error);
-  EXPECT_THROW(unattached.send_data(Frame{}), std::logic_error);
   EXPECT_THROW(unattached.start_heartbeats(5), std::logic_error);
 }
 
@@ -805,81 +801,6 @@ TEST(AsyncServeTest, RejectionsLandInTheRejectedQuantileStream) {
   EXPECT_EQ(ok->count(), 1u);
 }
 #endif
-
-// --- BusBridge -----------------------------------------------------------------
-
-/// Two nodes, each with a bus, an endpoint, and a bridge, joined by a link
-/// pair.  Bridges are constructed last so they can take the data plane.
-struct BridgeWorld {
-  Simulator sim;
-  aft::arch::EventBus bus_a;
-  aft::arch::EventBus bus_b;
-  Link a2b;
-  Link b2a;
-  Endpoint ep_a;
-  Endpoint ep_b;
-  BusBridge bridge_a;
-  BusBridge bridge_b;
-
-  explicit BridgeWorld(LinkFaults faults = LinkFaults{})
-      : a2b(sim, "a->b", faults, 21),
-        b2a(sim, "b->a", faults, 22),
-        ep_a(sim, "node-a", 23),
-        ep_b(sim, "node-b", 24),
-        bridge_a(bus_a, ep_a, "A"),
-        bridge_b(bus_b, ep_b, "B") {
-    ep_a.attach(b2a, a2b);
-    ep_b.attach(a2b, b2a);
-  }
-};
-
-TEST(BridgeTest, ForwardsATopicToTheRemoteBus) {
-  BridgeWorld w;
-  w.bridge_a.forward_topic("detect.clash");
-  std::vector<aft::arch::Message> remote;
-  w.bus_b.subscribe("detect.clash",
-                    [&](const aft::arch::Message& m) { remote.push_back(m); });
-  w.bus_a.publish({"detect.clash", "detector-7", "threshold crossed"});
-  w.sim.run_all();
-  ASSERT_EQ(remote.size(), 1u);
-  EXPECT_EQ(remote[0].topic, "detect.clash");
-  EXPECT_EQ(remote[0].source, "detector-7");
-  EXPECT_EQ(remote[0].payload, "threshold crossed");
-  EXPECT_EQ(w.bridge_a.forwarded(), 1u);
-  EXPECT_EQ(w.bridge_b.republished(), 1u);
-}
-
-TEST(BridgeTest, BidirectionalBridgesDoNotEcho) {
-  BridgeWorld w;
-  w.bridge_a.forward_topic("detect.clash");
-  w.bridge_b.forward_topic("detect.clash");
-  std::size_t seen_a = 0;
-  std::size_t seen_b = 0;
-  w.bus_a.subscribe("detect.clash", [&](const aft::arch::Message&) { ++seen_a; });
-  w.bus_b.subscribe("detect.clash", [&](const aft::arch::Message&) { ++seen_b; });
-  w.bus_a.publish({"detect.clash", "detector-7", "once"});
-  w.sim.run_all();
-  // One local delivery, one remote delivery, no ping-pong.
-  EXPECT_EQ(seen_a, 1u);
-  EXPECT_EQ(seen_b, 1u);
-  EXPECT_EQ(w.bridge_a.forwarded(), 1u);
-  EXPECT_EQ(w.bridge_b.forwarded(), 0u);  // the republish is not re-forwarded
-  EXPECT_EQ(w.bridge_b.republished(), 1u);
-  EXPECT_EQ(w.a2b.counters().sent, 1u);
-  EXPECT_EQ(w.b2a.counters().sent, 0u);
-}
-
-TEST(BridgeTest, StopUnsubscribesAllTopics) {
-  BridgeWorld w;
-  w.bridge_a.forward_topic("t1");
-  w.bridge_a.forward_topic("t2");
-  w.bridge_a.stop();
-  w.bus_a.publish({"t1", "s", "x"});
-  w.bus_a.publish({"t2", "s", "y"});
-  w.sim.run_all();
-  EXPECT_EQ(w.bridge_a.forwarded(), 0u);
-  EXPECT_EQ(w.a2b.counters().sent, 0u);
-}
 
 // --- Membership ----------------------------------------------------------------
 

@@ -63,30 +63,19 @@ TEST(FftTest, NonPowerOfTwoRejectedByFastPaths) {
   EXPECT_EQ(naive_dft(input).size(), 12u);  // the general path still works
 }
 
-TEST(PlannerTest, PlansAreCachedPerSize) {
-  FftPlanner planner(1);
-  (void)planner.plan_for(64);
-  (void)planner.plan_for(64);
-  (void)planner.plan_for(128);
-  EXPECT_EQ(planner.plannings(), 2u);
-  EXPECT_EQ(planner.cached_plans(), 2u);
-}
-
 TEST(PlannerTest, NonPowerOfTwoBindsTheOnlyGeneralCandidate) {
-  FftPlanner planner(1);
-  EXPECT_EQ(planner.plan_for(12).kind, PlanKind::kNaive);
-  EXPECT_EQ(planner.plan_for(1).kind, PlanKind::kNaive);
-  EXPECT_THROW((void)planner.plan_for(0), std::invalid_argument);
+  EXPECT_EQ(plan_for(12).kind, PlanKind::kNaive);
+  EXPECT_EQ(plan_for(1).kind, PlanKind::kNaive);
+  EXPECT_THROW((void)plan_for(0), std::invalid_argument);
 }
 
 TEST(PlannerTest, TransformMatchesReferenceWhateverItBinds) {
   // The planner may bind any candidate (timing-dependent); the *result*
   // must be correct regardless — validity is the invariant, speed the
   // objective.  Exactly the selector's shape: adequacy first, cost second.
-  FftPlanner planner(1);
   for (const std::size_t n : {8u, 32u, 12u, 100u}) {
     const Signal input = random_signal(n, n * 7);
-    EXPECT_LT(max_abs_diff(planner.transform(input), naive_dft(input)),
+    EXPECT_LT(max_abs_diff(execute(plan_for(n), input), naive_dft(input)),
               1e-8 * static_cast<double>(n));
   }
 }
@@ -94,8 +83,7 @@ TEST(PlannerTest, TransformMatchesReferenceWhateverItBinds) {
 TEST(PlannerTest, LargeSizesPreferAFastPath) {
   // At n = 1024 the O(n log n) candidates beat the O(n^2) baseline by ~two
   // orders of magnitude; timing noise cannot plausibly invert that.
-  FftPlanner planner(3);
-  const Plan plan = planner.plan_for(1024);
+  const Plan plan = plan_for(1024);
   EXPECT_NE(plan.kind, PlanKind::kNaive);
   EXPECT_GT(plan.measured_ns_per_point, 0.0);
 }

@@ -52,29 +52,6 @@ TEST(MajorityVoteTest, ExactHalfIsNotMajority) {
   EXPECT_FALSE(majority_vote(b).has_majority);
 }
 
-TEST(PluralityVoteTest, UniqueModeWinsWithoutStrictMajority) {
-  const std::array<Ballot, 7> b{1, 1, 1, 2, 2, 3, 4};
-  const auto o = plurality_vote(b);
-  EXPECT_TRUE(o.has_majority);
-  EXPECT_EQ(o.winner, 1);
-}
-
-TEST(PluralityVoteTest, TiedModesFail) {
-  const std::array<Ballot, 6> b{1, 1, 1, 2, 2, 2};
-  EXPECT_FALSE(plurality_vote(b).has_majority);
-}
-
-TEST(MedianVoteTest, RobustToMinorityOutliers) {
-  const std::array<Ballot, 5> b{100, 100, 100, 100000, -100000};
-  EXPECT_EQ(median_vote(b), 100);
-  EXPECT_FALSE(median_vote({}).has_value());
-}
-
-TEST(MedianVoteTest, EvenSizeTakesLowerMedian) {
-  const std::array<Ballot, 4> b{1, 2, 3, 4};
-  EXPECT_EQ(median_vote(b), 2);
-}
-
 TEST(MajorityVoteInplaceTest, MatchesCopyingVariant) {
   std::vector<Ballot> v{7, 3, 7, 3, 7};
   const auto copying = majority_vote(v);
