@@ -12,6 +12,8 @@
 //   - daemon_mesh — the fig6 steady state driven through the bus, 64
 //     publishing daemons fanning out to subscribed handlers — >= 2x the
 //     reference stack end to end.
+// Both ratios are the median of kPairs interleaved kernel/reference pairs
+// (bench_util.hpp paired_ratio), recorded with their per-pair min/max.
 // The bench also measures full-detail trace overhead on the mesh (target
 // <10%) and the binary-vs-JSONL trace size ratio.  The process still exits
 // 0 in non-Release builds, where the gates are informational.
@@ -44,7 +46,10 @@ using aft::arch::Message;
 using aft::bench::best_time;
 using aft::bench::Clock;
 using aft::bench::json_number;
+using aft::bench::kPairs;
 using aft::bench::kRepeats;
+using aft::bench::paired_ratio;
+using aft::bench::PairedRatio;
 using aft::bench::seconds_since;
 using aft::sim::SimTime;
 
@@ -238,10 +243,9 @@ class RefEventBus {
 // Each workload is templated on the kernel (and bus) so both sides run the
 // same client code; only the machinery underneath differs.
 
-/// Client-shaped one-shot continuation: 48 bytes of capture — the width of
-/// the heartbeat check chain (this + std::string channel + epoch), the
-/// widest in-tree scheduling client and the shape the kernel's 64-byte
-/// inline budget was sized for.  Far past std::function's 16-byte SBO, so
+/// Client-shaped one-shot continuation: 48 bytes of capture — the width the
+/// heartbeat check chain once had (this + std::string channel + epoch), the
+/// shape the kernel's 64-byte inline budget was sized for.  Far past std::function's 16-byte SBO, so
 /// the reference pays its allocation per schedule and per top() copy, just
 /// as the old kernel did for every heartbeat window.
 struct Shot {
@@ -256,22 +260,22 @@ static_assert(sizeof(Shot) == 48);
 static_assert(aft::sim::Simulator::fits_inline<Shot>);
 
 /// Schedule-then-drain throughput: `batches` rounds of `kBatch` one-shot
-/// events over a small time window, drained with run_all.  Returns events
-/// per second.
+/// events over a small time window, drained with run_all.  One timed run;
+/// returns events per second.
 template <typename Sim>
 double schedule_dispatch_rate(std::uint64_t batches) {
   constexpr std::uint64_t kBatch = 256;
-  const double secs = best_time([&] {
-    Sim sim;
-    std::uint64_t acc = 0;
-    for (std::uint64_t round = 0; round < batches; ++round) {
-      for (std::uint64_t i = 0; i < kBatch; ++i) {
-        sim.schedule_in(i % 11, Shot{&acc, round, i});
-      }
-      sim.run_all();
+  const auto t0 = Clock::now();
+  Sim sim;
+  std::uint64_t acc = 0;
+  for (std::uint64_t round = 0; round < batches; ++round) {
+    for (std::uint64_t i = 0; i < kBatch; ++i) {
+      sim.schedule_in(i % 11, Shot{&acc, round, i});
     }
-    g_sink ^= acc;
-  });
+    sim.run_all();
+  }
+  const double secs = seconds_since(t0);
+  g_sink ^= acc;
   return static_cast<double>(batches * kBatch) / secs;
 }
 
@@ -323,71 +327,62 @@ struct MeshDaemon {
   }
 };
 
-struct MeshRun {
-  double secs = 1e300;
-  std::uint64_t messages = 0;
-};
-
+/// One timed mesh run; returns bus messages per second.  A traced run
+/// hands its trace to `jsonl_out`/`bin_out` when those are given and still
+/// empty.
 template <typename Sim, typename Bus, bool UseBatch>
-MeshRun bus_mesh_run(SimTime horizon, bool traced,
+double bus_mesh_rate(SimTime horizon, bool traced,
                      std::string* jsonl_out = nullptr,
                      std::string* bin_out = nullptr) {
-  MeshRun run;
-  for (int r = -1; r < kRepeats; ++r) {  // r == -1: untimed warmup pass
-    Sim sim;
-    Bus bus;
-    std::optional<aft::obs::TraceSink> sink;
-    std::optional<aft::obs::ScopedObs> scope;
-    if (traced) {
-      sink.emplace();
-      sink->set_detail(true);
-      scope.emplace(&*sink, nullptr);
-    }
-    std::uint64_t acc = 0;
-    std::vector<std::string> topics;
-    std::vector<std::vector<Message>> batches;
-    std::vector<MeshDaemon<Sim, Bus, UseBatch>> mesh;
-    topics.reserve(kMeshDaemons);
-    batches.reserve(kMeshDaemons);
-    mesh.reserve(kMeshDaemons);
-    for (std::uint64_t d = 0; d < kMeshDaemons; ++d) {
-      topics.push_back("daemon-" + std::to_string(d));
-      for (std::uint64_t s = 0; s < kSubsPerTopic; ++s) {
-        bus.subscribe(topics.back(), [&acc](const Message& m) {
-          acc += m.payload.size();
-        });
-      }
-      std::vector<Message> batch(kFanout);
-      for (std::uint64_t i = 0; i < kFanout; ++i) {
-        batch[i] = Message{topics.back(), "mesh", "notify"};
-      }
-      batches.push_back(std::move(batch));
-    }
-    bus.subscribe_all([&acc](const Message&) { ++acc; });
-    for (std::uint64_t d = 0; d < kMeshDaemons; ++d) {
-      MeshDaemon<Sim, Bus, UseBatch> daemon{&sim, &bus, 1 + d % 13, 0,
-                                            &batches[d]};
-      if constexpr (UseBatch) {
-        daemon.topic = bus.find_topic(topics[d]);
-      }
-      mesh.push_back(daemon);
-      mesh.back().arm();
-    }
-    const auto t0 = Clock::now();
-    sim.run_until(horizon);
-    const double secs = seconds_since(t0);
-    g_sink ^= acc;
-    if (r >= 0) {
-      run.secs = std::min(run.secs, secs);
-      run.messages = bus.published();
-    }
-    if (r == kRepeats - 1 && sink && jsonl_out != nullptr &&
-        bin_out != nullptr) {
-      *jsonl_out = sink->jsonl();
-      *bin_out = sink->binary();
-    }
+  Sim sim;
+  Bus bus;
+  std::optional<aft::obs::TraceSink> sink;
+  std::optional<aft::obs::ScopedObs> scope;
+  if (traced) {
+    sink.emplace();
+    sink->set_detail(true);
+    scope.emplace(&*sink, nullptr);
   }
-  return run;
+  std::uint64_t acc = 0;
+  std::vector<std::string> topics;
+  std::vector<std::vector<Message>> batches;
+  std::vector<MeshDaemon<Sim, Bus, UseBatch>> mesh;
+  topics.reserve(kMeshDaemons);
+  batches.reserve(kMeshDaemons);
+  mesh.reserve(kMeshDaemons);
+  for (std::uint64_t d = 0; d < kMeshDaemons; ++d) {
+    topics.push_back("daemon-" + std::to_string(d));
+    for (std::uint64_t s = 0; s < kSubsPerTopic; ++s) {
+      bus.subscribe(topics.back(), [&acc](const Message& m) {
+        acc += m.payload.size();
+      });
+    }
+    std::vector<Message> batch(kFanout);
+    for (std::uint64_t i = 0; i < kFanout; ++i) {
+      batch[i] = Message{topics.back(), "mesh", "notify"};
+    }
+    batches.push_back(std::move(batch));
+  }
+  bus.subscribe_all([&acc](const Message&) { ++acc; });
+  for (std::uint64_t d = 0; d < kMeshDaemons; ++d) {
+    MeshDaemon<Sim, Bus, UseBatch> daemon{&sim, &bus, 1 + d % 13, 0,
+                                          &batches[d]};
+    if constexpr (UseBatch) {
+      daemon.topic = bus.find_topic(topics[d]);
+    }
+    mesh.push_back(daemon);
+    mesh.back().arm();
+  }
+  const auto t0 = Clock::now();
+  sim.run_until(horizon);
+  const double secs = seconds_since(t0);
+  g_sink ^= acc;
+  if (sink && jsonl_out != nullptr && bin_out != nullptr &&
+      jsonl_out->empty()) {
+    *jsonl_out = sink->jsonl();
+    *bin_out = sink->binary();
+  }
+  return static_cast<double>(bus.published()) / secs;
 }
 
 /// Fig. 7-shaped long run: a few periodic daemons plus a controller that
@@ -409,27 +404,24 @@ struct BurstController {
   }
 };
 
+/// One timed run; returns events per second.
 template <typename Sim>
 double fig7_shape_rate(SimTime horizon) {
-  double secs = 1e300;
-  std::uint64_t events = 0;
-  for (int r = -1; r < kRepeats; ++r) {  // r == -1: untimed warmup pass
-    Sim sim;
-    std::uint64_t acc = 0;
-    std::vector<Daemon<Sim>> mesh;
-    mesh.reserve(8);
-    for (std::uint64_t d = 0; d < 8; ++d) {
-      mesh.push_back(Daemon<Sim>{&sim, 2 + d % 5, 0});
-      mesh.back().arm();
-    }
-    BurstController<Sim> controller{&sim, &acc, 0};
-    controller.arm();
-    const auto t0 = Clock::now();
-    events = sim.run_until(horizon);
-    if (r >= 0) secs = std::min(secs, seconds_since(t0));
-    g_sink ^= acc;
-    for (const auto& d : mesh) g_sink ^= d.fires;
+  Sim sim;
+  std::uint64_t acc = 0;
+  std::vector<Daemon<Sim>> mesh;
+  mesh.reserve(8);
+  for (std::uint64_t d = 0; d < 8; ++d) {
+    mesh.push_back(Daemon<Sim>{&sim, 2 + d % 5, 0});
+    mesh.back().arm();
   }
+  BurstController<Sim> controller{&sim, &acc, 0};
+  controller.arm();
+  const auto t0 = Clock::now();
+  const std::uint64_t events = sim.run_until(horizon);
+  const double secs = seconds_since(t0);
+  g_sink ^= acc;
+  for (const auto& d : mesh) g_sink ^= d.fires;
   return static_cast<double>(events) / secs;
 }
 
@@ -559,58 +551,64 @@ int main() {
   }
 
   constexpr std::uint64_t kBatches = 4096;
-  constexpr SimTime kMeshHorizon = 20000;
-  constexpr SimTime kRefMeshHorizon = 4000;  // rate-normalized slow side
+  // Horizons size one run at ~0.05-0.8 s, so kPairs interleaved pairs of
+  // every workload fit the bench in about half a minute.
+  constexpr SimTime kMeshHorizon = 4000;
+  constexpr SimTime kRefMeshHorizon = 800;  // rate-normalized slow side
   constexpr SimTime kFig7Horizon = 400000;
+  using Kernel = aft::sim::Simulator;
+  using Bus = aft::arch::EventBus;
 
-  const double sd_kernel =
-      schedule_dispatch_rate<aft::sim::Simulator>(kBatches);
-  const double sd_ref = schedule_dispatch_rate<RefSimulator>(kBatches);
+  const PairedRatio sd = paired_ratio(
+      [] { return schedule_dispatch_rate<Kernel>(kBatches); },
+      [] { return schedule_dispatch_rate<RefSimulator>(kBatches); });
 
   // Full-detail trace overhead on the kernel mesh: every publish-batch and
   // kernel dispatch leaves a record; the compact sink must keep that under
-  // 10%.  The traced run goes back to back with the untraced one (before
-  // the allocation-heavy reference mesh can perturb heap and cache state)
-  // so the ratio compares like machine regimes.  The traced sink then
-  // yields the JSONL-vs-binary size comparison.
-  const MeshRun mesh_kernel =
-      bus_mesh_run<aft::sim::Simulator, aft::arch::EventBus, true>(
-          kMeshHorizon, /*traced=*/false);
+  // 10%.  Untraced and traced runs are paired like kernel and reference
+  // (before the allocation-heavy reference mesh can perturb heap and cache
+  // state), and the first traced run yields the JSONL-vs-binary size
+  // comparison.
   std::string trace_jsonl;
   std::string trace_bin;
-  const MeshRun mesh_traced =
-      bus_mesh_run<aft::sim::Simulator, aft::arch::EventBus, true>(
-          kMeshHorizon, /*traced=*/true, &trace_jsonl, &trace_bin);
-  const double overhead_frac = mesh_traced.secs / mesh_kernel.secs - 1.0;
+  const PairedRatio traced = paired_ratio(
+      [] { return bus_mesh_rate<Kernel, Bus, true>(kMeshHorizon, false); },
+      [&] {
+        return bus_mesh_rate<Kernel, Bus, true>(kMeshHorizon, true,
+                                                &trace_jsonl, &trace_bin);
+      });
+  const double overhead_frac = traced.median - 1.0;
 
-  const MeshRun mesh_ref = bus_mesh_run<RefSimulator, RefEventBus, false>(
-      kRefMeshHorizon, /*traced=*/false);
-  const double mesh_kernel_rate =
-      static_cast<double>(mesh_kernel.messages) / mesh_kernel.secs;
-  const double mesh_ref_rate =
-      static_cast<double>(mesh_ref.messages) / mesh_ref.secs;
+  const PairedRatio mesh = paired_ratio(
+      [] { return bus_mesh_rate<Kernel, Bus, true>(kMeshHorizon, false); },
+      [] {
+        return bus_mesh_rate<RefSimulator, RefEventBus, false>(kRefMeshHorizon,
+                                                               false);
+      });
   const double bin_ratio = trace_bin.empty()
                                ? 0.0
                                : static_cast<double>(trace_jsonl.size()) /
                                      static_cast<double>(trace_bin.size());
 
-  const double fig7_kernel = fig7_shape_rate<aft::sim::Simulator>(kFig7Horizon);
-  const double fig7_ref = fig7_shape_rate<RefSimulator>(kFig7Horizon);
+  const PairedRatio fig7 =
+      paired_ratio([] { return fig7_shape_rate<Kernel>(kFig7Horizon); },
+                   [] { return fig7_shape_rate<RefSimulator>(kFig7Horizon); });
 
   const std::vector<double> stream = latency_stream();
   const double welford_ns = welford_add_ns(stream);
   const double hist_ns = histogram_add_ns(stream);
   const double observe_ratio = hist_ns / welford_ns;
 
-  const auto row = [](const char* name, double kernel, double ref,
+  const auto row = [](const char* name, const PairedRatio& r,
                       const char* unit) {
-    std::cout << "  " << name << ": " << json_number(kernel / 1e6) << " " << unit
-              << " vs " << json_number(ref / 1e6) << " " << unit << " ref  ("
-              << json_number(kernel / ref) << "x)\n";
+    std::cout << "  " << name << ": " << json_number(r.kernel_rate / 1e6) << " "
+              << unit << " vs " << json_number(r.ref_rate / 1e6) << " " << unit
+              << " ref  (" << json_number(r.median) << "x, pairs "
+              << json_number(r.min) << "-" << json_number(r.max) << "x)\n";
   };
-  row("schedule+dispatch", sd_kernel, sd_ref, "Mevents/s");
-  row("daemon mesh (bus)", mesh_kernel_rate, mesh_ref_rate, "Mmsgs/s");
-  row("fig7 shape       ", fig7_kernel, fig7_ref, "Mevents/s");
+  row("schedule+dispatch", sd, "Mevents/s");
+  row("daemon mesh (bus)", mesh, "Mmsgs/s");
+  row("fig7 shape       ", fig7, "Mevents/s");
   std::cout << "  mesh trace       : " << json_number(overhead_frac * 100)
             << "% full-detail overhead; binary " << trace_bin.size()
             << " B vs JSONL " << trace_jsonl.size() << " B ("
@@ -619,44 +617,55 @@ int main() {
             << " ns vs welford add " << json_number(welford_ns) << " ns ("
             << json_number(observe_ratio) << "x)\n";
 
-  const double sd_speedup = sd_kernel / sd_ref;
-  const double mesh_speedup = mesh_kernel_rate / mesh_ref_rate;
-  const bool pass = sd_speedup >= 2.0 && mesh_speedup >= 2.0;
+  const bool pass = sd.median >= 2.0 && mesh.median >= 2.0;
   const bool observe_pass = observe_ratio <= 2.0;
-  std::cout << "\nschedule+dispatch " << json_number(sd_speedup)
-            << "x, daemon_mesh " << json_number(mesh_speedup)
-            << "x (gate: both >= 2x in release): " << (pass ? "PASS" : "FAIL")
-            << "\n";
+  std::cout << "\nschedule+dispatch " << json_number(sd.median)
+            << "x, daemon_mesh " << json_number(mesh.median)
+            << "x (median of " << kPairs
+            << " interleaved pairs; gate: both >= 2x in release): "
+            << (pass ? "PASS" : "FAIL") << "\n";
   std::cout << "histogram/welford add ratio " << json_number(observe_ratio)
             << "x (gate: <= 2x in release): "
             << (observe_pass ? "PASS" : "FAIL") << "\n";
 
+  // A ratio's JSON fields: the side medians, the median per-pair ratio
+  // (what the gate reads) and the per-pair min/max.
+  const auto ratio_json = [](const char* kernel_key, const char* ref_key,
+                             const PairedRatio& r) {
+    return std::string("{\"") + kernel_key + "\": " +
+           json_number(r.kernel_rate) + ", \"" + ref_key +
+           "\": " + json_number(r.ref_rate) +
+           ", \"speedup\": " + json_number(r.median) +
+           ", \"speedup_min\": " + json_number(r.min) +
+           ", \"speedup_max\": " + json_number(r.max) + "}";
+  };
   const char* path = std::getenv("AFT_BENCH_JSON");
   if (path == nullptr || path[0] == '\0') path = "BENCH_sim.json";
   std::ofstream json(path);
   json << "{\n"
        << "  \"bench\": \"perf_sim\",\n"
        << "  \"build_type\": \"" << build_type << "\",\n"
+       << "  \"pairs\": " << kPairs << ",\n"
        << "  \"reps\": " << kRepeats << ",\n"
        << "  \"warmup\": true,\n"
        << "  \"cpu\": \"" << aft::bench::cpu_model() << "\",\n"
-       << "  \"schedule_dispatch\": {\"kernel_events_per_sec\": "
-       << json_number(sd_kernel)
-       << ", \"ref_events_per_sec\": " << json_number(sd_ref)
-       << ", \"speedup\": " << json_number(sd_speedup) << "},\n"
-       << "  \"daemon_mesh\": {\"kernel_msgs_per_sec\": "
-       << json_number(mesh_kernel_rate)
-       << ", \"ref_msgs_per_sec\": " << json_number(mesh_ref_rate)
-       << ", \"speedup\": " << json_number(mesh_speedup) << "},\n"
+       << "  \"schedule_dispatch\": "
+       << ratio_json("kernel_events_per_sec", "ref_events_per_sec", sd)
+       << ",\n"
+       << "  \"daemon_mesh\": "
+       << ratio_json("kernel_msgs_per_sec", "ref_msgs_per_sec", mesh) << ",\n"
        << "  \"mesh_trace\": {\"overhead_frac\": "
        << json_number(overhead_frac * 1000) << "e-3"
+       << ", \"overhead_frac_min\": " << json_number((traced.min - 1) * 1000)
+       << "e-3"
+       << ", \"overhead_frac_max\": " << json_number((traced.max - 1) * 1000)
+       << "e-3"
        << ", \"jsonl_bytes\": " << trace_jsonl.size()
        << ", \"bin_bytes\": " << trace_bin.size()
        << ", \"bin_ratio\": " << json_number(bin_ratio) << "},\n"
-       << "  \"fig7_shape\": {\"kernel_events_per_sec\": "
-       << json_number(fig7_kernel)
-       << ", \"ref_events_per_sec\": " << json_number(fig7_ref)
-       << ", \"speedup\": " << json_number(fig7_kernel / fig7_ref) << "},\n"
+       << "  \"fig7_shape\": "
+       << ratio_json("kernel_events_per_sec", "ref_events_per_sec", fig7)
+       << ",\n"
        << "  \"metrics_observe\": {\"hist_add_ns\": " << json_number(hist_ns)
        << ", \"welford_add_ns\": " << json_number(welford_ns)
        << ", \"ratio\": " << json_number(observe_ratio) << "},\n"

@@ -52,6 +52,10 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
     throw std::invalid_argument(
         "ReplicatedService: pool smaller than policy.min_replicas");
   }
+  if (params_.heartbeat_period == 0) {
+    throw std::invalid_argument(
+        "ReplicatedService: heartbeat_period must be > 0");
+  }
   nodes_.reserve(params_.pool);
   for (std::size_t i = 0; i < params_.pool; ++i) {
     // 8 seeds of headroom per node: links draw 2, endpoints draw 2.
@@ -104,9 +108,15 @@ void ReplicatedService::start() {
             {{"pool", nodes_.size()}, {"arity", organ_.farm().replicas()}});
   // Registration order makes pool member i membership id i.
   for (const auto& node : nodes_) membership_.track(node->name);
-  for (const auto& node : nodes_) {
-    node->replica.start_heartbeats(params_.heartbeat_period);
-  }
+  heartbeat_tick();
+}
+
+void ReplicatedService::heartbeat_tick() {
+  for (const auto& node : nodes_) node->replica.send_heartbeat();
+  auto next = [this] { heartbeat_tick(); };
+  static_assert(sim::Simulator::fits_inline<decltype(next)>,
+                "heartbeat tick must schedule allocation-free");
+  sim_.schedule_in(params_.heartbeat_period, std::move(next));
 }
 
 bool ReplicatedService::eligible(std::size_t i) const {

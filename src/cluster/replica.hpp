@@ -14,11 +14,12 @@
 //               over network replicas; the organ's ballot discrimination
 //               judges each replica's ballot stream and retires persistent
 //               dissenters ("suspect") until repair().
-//   liveness    replicas heartbeat the coordinator; net::Membership turns
-//               miss patterns into evict/reinstate transitions.  A member
-//               that resumes beating is auto-reinstated after
-//               `reinstate_after_beats` beats — arriving beats ARE the
-//               evidence the unit healed.
+//   liveness    replicas heartbeat the coordinator — the whole pool beats
+//               from one periodic tick, in pool order — and
+//               net::Membership turns miss patterns into evict/reinstate
+//               transitions.  A member that resumes beating is
+//               auto-reinstated after `reinstate_after_beats` beats —
+//               arriving beats ARE the evidence the unit healed.
 //   adaptation  every round report flows into the organ's
 //               autonomic::ReflectiveSwitchboard (dissent raises, calm
 //               lowers), and every eviction is pushed to it as an external
@@ -99,6 +100,7 @@ struct ClusterParams {
   net::CallOptions call{};
   /// When set, each replica channel gets its own CircuitBreaker.
   std::optional<net::CircuitBreaker::Params> breaker{};
+  /// Ticks between pool heartbeats (> 0; the constructor rejects 0).
   sim::SimTime heartbeat_period = 4;
   net::Membership::Params membership{};
   /// Beats a down member must deliver before it is auto-reinstated.  The
@@ -150,8 +152,9 @@ class ReplicatedService {
   ReplicatedService(sim::Simulator& sim, ClusterParams params, Task task,
                     std::uint64_t seed);
 
-  /// Registers all pool members with Membership and starts their
-  /// heartbeats.  Must be called (once) before invoke().
+  /// Registers all pool members with Membership and starts the pool's
+  /// heartbeat tick: every `heartbeat_period` ticks, one event sends each
+  /// member's beat in pool order.  Must be called (once) before invoke().
   void start();
 
   /// Runs one replicate-and-vote round over the live replica set.  Rounds
@@ -265,6 +268,8 @@ class ReplicatedService {
   /// cause: the caller's context for a synchronous shed, the evicted
   /// invoke's reinstated snapshot for reject-oldest.
   void shed(Done done);
+  /// Sends every pool member's beat, then schedules the next tick.
+  void heartbeat_tick();
   void on_beat(std::size_t i);
   void on_member_change(std::size_t i, bool up);
   void on_suspect_change(std::size_t i, bool suspect);

@@ -89,6 +89,45 @@ std::string unquote(std::size_t line, const std::string& text) {
   return out;
 }
 
+/// A text field (name, statement, node name, ...) is written raw when the
+/// raw form reads back unchanged — the common case, so hand-written and
+/// existing documents look as before — and quoted otherwise: a line break,
+/// leading or trailing blanks (parse trims them), a leading quote (parse
+/// would unquote it), or, for a DAG node name, an "->" (edges split there).
+std::string format_text(const std::string& text, bool node = false) {
+  if (text.empty()) return text;
+  const auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  const bool raw = text.find_first_of("\n\r") == std::string::npos &&
+                   !blank(text.front()) && !blank(text.back()) &&
+                   text.front() != '"' &&
+                   !(node && text.find("->") != std::string::npos);
+  return raw ? text : quote(text);
+}
+
+/// Reads back a format_text() field.
+std::string parse_text(std::size_t line, const std::string& text) {
+  return !text.empty() && text.front() == '"' ? unquote(line, text) : text;
+}
+
+/// Splits "from -> to" at the arrow after `from`, which may be quoted (and
+/// then may itself contain "->").
+std::pair<std::string, std::string> parse_edge(std::size_t line,
+                                               const std::string& value) {
+  std::size_t from_end = 0;
+  if (!value.empty() && value.front() == '"') {
+    from_end = 1;
+    while (from_end < value.size() && value[from_end] != '"') {
+      from_end += value[from_end] == '\\' ? 2u : 1u;
+    }
+  }
+  const auto arrow = value.find("->", from_end);
+  if (arrow == std::string::npos) {
+    throw ManifestError(line, "edge must be 'from -> to'");
+  }
+  return {parse_text(line, trim(value.substr(0, arrow))),
+          parse_text(line, trim(value.substr(arrow + 2)))};
+}
+
 /// Typed value parse: a quoted string, then bool, integer and double; any
 /// other unquoted text (a hand-written manifest) is a raw string.
 core::ContextValue parse_value(std::size_t line, const std::string& text) {
@@ -135,26 +174,29 @@ std::string Manifest::serialize() const {
   std::ostringstream out;
   out << "# aft deployment manifest\n";
   out << "[meta]\n";
-  out << "name = " << name << "\n";
-  out << "version = " << version << "\n";
+  out << "name = " << format_text(name) << "\n";
+  out << "version = " << format_text(version) << "\n";
   for (const AssumptionRecord& a : assumptions) {
     out << "\n[assumption]\n"
-        << "id = " << a.id << "\n"
-        << "statement = " << a.statement << "\n"
+        << "id = " << format_text(a.id) << "\n"
+        << "statement = " << format_text(a.statement) << "\n"
         << "subject = " << subject_to_text(a.subject) << "\n"
-        << "origin = " << a.origin << "\n"
-        << "rationale = " << a.rationale << "\n"
+        << "origin = " << format_text(a.origin) << "\n"
+        << "rationale = " << format_text(a.rationale) << "\n"
         << "stated_at = " << binding_to_text(a.stated_at) << "\n"
-        << "expect_key = " << a.expectation.key << "\n"
+        << "expect_key = " << format_text(a.expectation.key) << "\n"
         << "expect_op = " << contract::to_string(a.expectation.op) << "\n"
         << "expect_value = " << format_value(a.expectation.bound) << "\n";
   }
   for (const arch::DagSnapshot& d : architectures) {
     out << "\n[architecture]\n"
-        << "name = " << d.name << "\n";
-    for (const auto& node : d.nodes) out << "node = " << node << "\n";
+        << "name = " << format_text(d.name) << "\n";
+    for (const auto& node : d.nodes) {
+      out << "node = " << format_text(node, /*node=*/true) << "\n";
+    }
     for (const auto& [from, to] : d.edges) {
-      out << "edge = " << from << " -> " << to << "\n";
+      out << "edge = " << format_text(from, /*node=*/true) << " -> "
+          << format_text(to, /*node=*/true) << "\n";
     }
   }
   return out.str();
@@ -228,20 +270,24 @@ Manifest Manifest::parse(const std::string& text) {
       case Section::kNone:
         throw ManifestError(line_no, "key/value outside any section");
       case Section::kMeta:
-        if (key == "name") manifest.name = value;
-        else if (key == "version") manifest.version = value;
+        if (key == "name") manifest.name = parse_text(line_no, value);
+        else if (key == "version") manifest.version = parse_text(line_no, value);
         else throw ManifestError(line_no, "unknown [meta] key '" + key + "'");
         break;
       case Section::kAssumption:
-        if (key == "id") current_assumption.id = value;
-        else if (key == "statement") current_assumption.statement = value;
+        if (key == "id") current_assumption.id = parse_text(line_no, value);
+        else if (key == "statement")
+          current_assumption.statement = parse_text(line_no, value);
         else if (key == "subject")
           current_assumption.subject = subject_from_text(line_no, value);
-        else if (key == "origin") current_assumption.origin = value;
-        else if (key == "rationale") current_assumption.rationale = value;
+        else if (key == "origin")
+          current_assumption.origin = parse_text(line_no, value);
+        else if (key == "rationale")
+          current_assumption.rationale = parse_text(line_no, value);
         else if (key == "stated_at")
           current_assumption.stated_at = binding_from_text(line_no, value);
-        else if (key == "expect_key") current_assumption.expectation.key = value;
+        else if (key == "expect_key")
+          current_assumption.expectation.key = parse_text(line_no, value);
         else if (key == "expect_op") {
           const auto op = contract::parse_op(value);
           if (!op.has_value()) throw ManifestError(line_no, "bad op '" + value + "'");
@@ -253,15 +299,11 @@ Manifest Manifest::parse(const std::string& text) {
         }
         break;
       case Section::kArchitecture:
-        if (key == "name") current_arch.name = value;
-        else if (key == "node") current_arch.nodes.push_back(value);
+        if (key == "name") current_arch.name = parse_text(line_no, value);
+        else if (key == "node")
+          current_arch.nodes.push_back(parse_text(line_no, value));
         else if (key == "edge") {
-          const auto arrow = value.find("->");
-          if (arrow == std::string::npos) {
-            throw ManifestError(line_no, "edge must be 'from -> to'");
-          }
-          current_arch.edges.emplace_back(trim(value.substr(0, arrow)),
-                                          trim(value.substr(arrow + 2)));
+          current_arch.edges.push_back(parse_edge(line_no, value));
         } else {
           throw ManifestError(line_no, "unknown [architecture] key '" + key + "'");
         }

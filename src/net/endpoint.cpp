@@ -114,13 +114,14 @@ void Endpoint::start_attempt(std::uint64_t id) {
   };
   static_assert(sim::Simulator::fits_inline<decltype(timeout)>,
                 "rpc deadline check must schedule allocation-free");
-  sim_.schedule_in(c.options.deadline, std::move(timeout));
+  c.deadline_timer = sim_.schedule_in(c.options.deadline, std::move(timeout));
 }
 
 void Endpoint::attempt_timed_out(std::uint64_t id, std::uint32_t attempt) {
   const Call* c = find_call(id);
-  // Completed, or already retried past this attempt: the deadline event is
-  // stale (epoch-guarded by the attempt number + slot generation).
+  // Finishing or failing an attempt cancels its timer, so a firing timer
+  // should always find its attempt current; the epoch guard (attempt number
+  // + slot generation) stays as the backstop.
   if (c == nullptr || c->attempt != attempt) return;
   attempt_failed(id, "deadline");
 }
@@ -128,13 +129,15 @@ void Endpoint::attempt_timed_out(std::uint64_t id, std::uint32_t attempt) {
 void Endpoint::attempt_failed(std::uint64_t id,
                               [[maybe_unused]] const char* reason) {
   Call& c = *find_call(id);
-  // One failure per attempt: an app-error response leaves the attempt's
-  // deadline timer armed, and a duplicated failing response can arrive
-  // twice — either would fail the same attempt again during the backoff,
+  // One failure per attempt: a duplicated failing response can arrive
+  // twice, and would fail the same attempt again during the backoff,
   // double-counting breaker/failure evidence and possibly finishing the
   // call while its retry is scheduled.
   if (c.failed) return;
   c.failed = true;
+  // From here on the deadline timer can only find a failed or superseded
+  // attempt (or a finished call): withdraw it rather than dispatch a no-op.
+  sim_.cancel(std::exchange(c.deadline_timer, {}));
   if (c.options.breaker != nullptr) c.options.breaker->record(false, c.probe);
   ++counters_.attempt_failures;
   AFT_METRIC_ADD("net.rpc.attempt_failures", 1);
@@ -168,6 +171,7 @@ void Endpoint::attempt_failed(std::uint64_t id,
 void Endpoint::finish(std::uint64_t id, RpcStatus status,
                       std::string payload) {
   Call& c = *find_call(id);
+  sim_.cancel(std::exchange(c.deadline_timer, {}));
   switch (status) {
     case RpcStatus::kOk: ++counters_.ok; break;
     case RpcStatus::kCircuitOpen: ++counters_.circuit_open; break;
@@ -313,26 +317,13 @@ void Endpoint::async_respond(std::uint64_t id, std::uint32_t aux, bool ok,
   if (out_ != nullptr) out_->send(std::move(response));
 }
 
-void Endpoint::start_heartbeats(sim::SimTime period) {
+void Endpoint::send_heartbeat() {
   if (out_ == nullptr) throw std::logic_error("Endpoint: not attached");
-  if (period == 0) {
-    throw std::invalid_argument("Endpoint: heartbeat period must be > 0");
-  }
-  hb_period_ = period;
-  heartbeat_tick(++hb_epoch_);
-}
-
-void Endpoint::heartbeat_tick(std::uint64_t epoch) {
-  if (epoch != hb_epoch_) return;  // superseded by stop/restart
   Frame beat;
   beat.kind = FrameKind::kHeartbeat;
   beat.id = ++hb_seq_;
   beat.origin = name_;
   out_->send(std::move(beat));
-  auto chain = [this, epoch] { heartbeat_tick(epoch); };
-  static_assert(sim::Simulator::fits_inline<decltype(chain)>,
-                "heartbeat emitter must schedule allocation-free");
-  sim_.schedule_in(hb_period_, std::move(chain));
 }
 
 }  // namespace aft::net

@@ -6,8 +6,12 @@
 //            RetryPolicy-driven re-attempts (exponential backoff +
 //            deterministic jitter, attempt and time budgets), and an
 //            optional CircuitBreaker consulted before every attempt.
-//   liveness start_heartbeats()/on_heartbeat(): periodic beats feeding the
+//   liveness send_heartbeat()/on_heartbeat(): one beat per call, feeding the
 //            peer's net::Membership (detect::HeartbeatMonitor underneath).
+//            The endpoint keeps no beat timer of its own: whoever owns a
+//            group of endpoints paces them all from one tick (the cluster
+//            beats its whole pool per tick), one event per period for the
+//            whole group.
 //
 // Failure semantics of a call, in precedence order:
 //   kCircuitOpen       the breaker refused an attempt (fail fast, no wire)
@@ -17,7 +21,10 @@
 //   kExhausted         the attempt budget ran out (timeouts or app errors)
 //   kOk                a response for the *current* attempt arrived in time
 // Responses for superseded attempts are counted as stale and ignored, so a
-// slow duplicate can never complete a call twice.
+// slow duplicate can never complete a call twice.  An attempt's deadline
+// timer is cancelled on the simulator as soon as it can no longer matter —
+// when the attempt fails (its retry, if any, supersedes it) or the call
+// finishes — so completed calls leave no dead timers in the event queue.
 //
 // Causality: call() emits a "net.rpc/call" record and installs it as the
 // current cause, so the whole attempt/send/deliver/serve/response/done
@@ -146,9 +153,8 @@ class Endpoint {
   void call(const std::string& method, const std::string& payload,
             const CallOptions& options, Callback callback);
 
-  /// Emits a heartbeat now and then every `period` ticks until stopped.
-  void start_heartbeats(sim::SimTime period);
-  void stop_heartbeats() noexcept { ++hb_epoch_; }
+  /// Sends one heartbeat frame to the peer now.
+  void send_heartbeat();
   void on_heartbeat(HeartbeatHandler handler) {
     heartbeat_handler_ = std::move(handler);
   }
@@ -181,10 +187,12 @@ class Endpoint {
     Callback callback;
     std::uint32_t attempt = 0;  ///< current attempt number (1-based)
     sim::SimTime started = 0;
+    /// The current attempt's deadline timer, until the attempt fails or
+    /// the call finishes (then cancelled and reset).
+    sim::Simulator::Handle deadline_timer{};
     /// The current attempt already failed and its retry is pending.  The
-    /// attempt number alone cannot epoch-guard this window: an app-error
-    /// failure leaves the attempt's deadline timer armed, and if it fires
-    /// during the backoff `attempt` still matches.
+    /// attempt number alone cannot epoch-guard this window: a duplicated
+    /// failing response arrives while `attempt` still matches.
     bool failed = false;
     /// Breaker admission token of the current attempt (kNotAProbe when the
     /// call has no breaker or was not admitted as a half-open probe).
@@ -200,7 +208,6 @@ class Endpoint {
   void attempt_timed_out(std::uint64_t id, std::uint32_t attempt);
   void attempt_failed(std::uint64_t id, const char* reason);
   void finish(std::uint64_t id, RpcStatus status, std::string payload);
-  void heartbeat_tick(std::uint64_t epoch);
   void async_respond(std::uint64_t id, std::uint32_t aux, bool ok,
                      bool rejected, std::string&& payload);
   /// The live Call behind `id`, or nullptr when the id is stale (completed
@@ -217,8 +224,6 @@ class Endpoint {
   std::vector<std::uint32_t> free_calls_;  ///< recycled slots, LIFO
   std::size_t outstanding_ = 0;
   HeartbeatHandler heartbeat_handler_;
-  sim::SimTime hb_period_ = 0;
-  std::uint64_t hb_epoch_ = 0;
   std::uint64_t hb_seq_ = 0;
   std::uint64_t heartbeats_received_ = 0;
   RpcCounters counters_;

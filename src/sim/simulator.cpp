@@ -7,7 +7,7 @@
 
 namespace aft::sim {
 
-void Simulator::schedule_at(SimTime when, Action action) {
+Simulator::Handle Simulator::schedule_at(SimTime when, Action action) {
   if (when < now_) throw std::invalid_argument("Simulator: event in the past");
   std::uint64_t cause = obs::kNoEvent;
 #if !defined(AFT_OBS_DISABLED)
@@ -15,7 +15,8 @@ void Simulator::schedule_at(SimTime when, Action action) {
     cause = sink->cause();
   }
   // Dispatch lag: entries fire exactly at `when`, so the schedule-to-
-  // dispatch latency is known here.  Recorded through a cached Stat handle
+  // dispatch latency is known here.  It is recorded per scheduled entry —
+  // one later cancelled included.  Recorded through a cached Stat handle
   // so the steady-state cost is one add, not a map lookup.
   if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
     if (reg != lag_registry_ || reg->uid() != lag_registry_uid_) {
@@ -26,11 +27,11 @@ void Simulator::schedule_at(SimTime when, Action action) {
     lag_stat_->add(static_cast<double>(when - now_));
   }
 #endif
-  queue_.push(EventKey{when, next_seq_++, cause}, std::move(action));
+  return queue_.push(EventKey{when, next_seq_++, cause}, std::move(action));
 }
 
-void Simulator::schedule_in(SimTime delay, Action action) {
-  schedule_at(now_ + delay, std::move(action));
+Simulator::Handle Simulator::schedule_in(SimTime delay, Action action) {
+  return schedule_at(now_ + delay, std::move(action));
 }
 
 bool Simulator::step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,

@@ -14,6 +14,17 @@
 // std::priority_queue predecessor paid one allocation per schedule and a
 // full entry copy (another allocation) per dispatch, because
 // priority_queue::top() is const.
+//
+// Cancellation: schedule_at()/schedule_in() return a Handle, and cancel()
+// withdraws the entry it names.  A cancelled entry is dead: it never
+// dispatches, is not counted in executed() or pending(), and — since the
+// clock only moves when a live entry dispatches — no longer advances now()
+// at run_all().  (run_until(t) still ends with the clock at t.)  Cancelling
+// is cheap (a tombstone in the queue, see util/dheap.hpp) and never changes
+// the order in which the remaining entries dispatch.  Clients that arm a
+// timer which usually turns out moot — an RPC deadline whose call already
+// completed — cancel it instead of leaving a no-op in the queue for every
+// other entry to sift past.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +58,11 @@ class Simulator {
   template <typename F>
   static constexpr bool fits_inline = Action::template stores_inline<F>;
 
+  /// Names one scheduled entry for cancel().  Default-constructed handles
+  /// name nothing; a handle goes stale once its entry dispatches or is
+  /// cancelled.
+  using Handle = util::DHeapHandle;
+
   /// Current logical time.  Starts at 0.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
@@ -56,22 +72,31 @@ class Simulator {
   /// Causality: the trace sink's current cause id is snapshotted into the
   /// entry and reinstated when the entry is dispatched, so every event the
   /// action emits records which event scheduled it (obs/trace.hpp).
-  void schedule_at(SimTime when, Action action);
+  /// Returns the entry's handle for cancel().
+  Handle schedule_at(SimTime when, Action action);
 
   /// Schedules `action` to fire `delay` ticks from now.
-  void schedule_in(SimTime delay, Action action);
+  Handle schedule_in(SimTime delay, Action action);
+
+  /// Withdraws the entry `handle` names, releasing its action unrun.
+  /// Returns false, changing nothing, for a stale or default handle (the
+  /// entry already ran or was already cancelled).
+  bool cancel(Handle handle) { return queue_.erase(handle); }
 
   /// Runs events until the queue is empty or `until` is reached (events at
   /// exactly `until` are still executed).  Returns the number of events run.
   std::uint64_t run_until(SimTime until);
 
-  /// Runs all pending events.  Returns the number of events run.
+  /// Runs all pending events.  Returns the number of events run.  The
+  /// clock stops at the last event run (a cancelled entry never moves it).
   std::uint64_t run_all();
 
   /// Executes the single next event, if any.  Returns true when one ran.
   bool step();
 
+  /// No live entry is pending (cancelled ones do not count).
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
+  /// Live entries scheduled but not yet dispatched.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Pre-sizes the event pool/heap/freelist for `n` concurrently pending
@@ -81,7 +106,8 @@ class Simulator {
   void reserve(std::size_t n) { queue_.reserve(n); }
 
   /// Events executed since construction (lifetime counter; the obs layer
-  /// reads it for the "sim.events" metric).
+  /// reads it for the "sim.events" metric).  Cancelled entries never run
+  /// and are not counted.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Advances the clock without executing anything (for driving the kernel

@@ -9,6 +9,7 @@
 //   * arch::EventBus publish and publish_batch over interned topics,
 //     plus MessageArena slot recycling,
 //   * net::Link frame send -> deliver through the recycled slot pool,
+//   * net::Endpoint RPC call -> complete with the deadline timer cancelled,
 //   * vote::VotingFarm::invoke round after round, including after an
 //     arity resize,
 //   * autonomic::RestoringOrgan rounds with per-unit ballot
@@ -34,6 +35,7 @@
 #include "hw/memory_chip.hpp"
 #include "load/traffic.hpp"
 #include "mem/method_ecc.hpp"
+#include "net/endpoint.hpp"
 #include "net/link.hpp"
 #include "net/membership.hpp"
 #include "obs/metrics.hpp"
@@ -249,6 +251,50 @@ TEST(AllocTest, LinkFrameSendSteadyStateIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(received, 5001u);
+}
+
+TEST(AllocTest, RpcCallCompleteCancelSteadyStateIsAllocationFree) {
+  // call -> request -> serve -> response -> complete, with the completed
+  // call's deadline timer cancelled: eight calls in flight, each completion
+  // starting the next.  Tombstones and heap rebuilds recycle the queue's
+  // own storage, so once warm the loop never touches the allocator.
+  aft::sim::Simulator sim;
+  aft::net::Link fwd(sim, "c->s", aft::net::LinkFaults{}, 5);
+  aft::net::Link rev(sim, "s->c", aft::net::LinkFaults{}, 6);
+  aft::net::Endpoint client(sim, "client", 7);
+  aft::net::Endpoint server(sim, "server", 8);
+  client.attach(rev, fwd);
+  server.attach(fwd, rev);
+  server.serve("echo", [](const std::string& request, std::string& response) {
+    response = request;
+    return true;
+  });
+  aft::net::CallOptions options;
+  options.deadline = 5000;
+  std::uint64_t completed = 0;
+  struct Pump {
+    aft::net::Endpoint* client;
+    const aft::net::CallOptions* options;
+    std::uint64_t* completed;
+    void call() {
+      client->call("echo", "x", *options, [this](const aft::net::RpcResult&) {
+        ++*completed;
+        call();
+      });
+    }
+  } pump{&client, &options, &completed};
+  for (int i = 0; i < 8; ++i) pump.call();
+  while (completed < 4000 && sim.step()) {
+  }
+
+  const std::uint64_t allocs = allocations_during([&] {
+    while (completed < 24000 && sim.step()) {
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(completed, 24000u);
+  EXPECT_EQ(client.counters().ok, 24000u);
+  EXPECT_LE(sim.pending(), 16u);  // eight calls' worth, no dead timers
 }
 
 TEST(AllocTest, VotingFarmSteadyStateIsAllocationFree) {

@@ -85,6 +85,35 @@ TEST(ClusterTest, ConstructionAndLifecycleValidation) {
   EXPECT_THROW(service.invoke(1, nullptr), std::logic_error);
 }
 
+TEST(ClusterTest, ZeroHeartbeatPeriodIsRejectedAtConstruction) {
+  Simulator sim;
+  ClusterParams params = small_params(5);
+  params.heartbeat_period = 0;
+  EXPECT_THROW(ReplicatedService(
+                   sim, params,
+                   [](Ballot input, std::size_t) { return correct_value(input); },
+                   1),
+               std::invalid_argument);
+}
+
+TEST(ClusterTest, IdlePoolLivenessCostsOneTickAndOneSweepPerPeriod) {
+  // The liveness event budget of an idle 5-replica pool over 400 ticks
+  // (heartbeat period 4, membership window 10, 2-3 tick wires):
+  //   100 heartbeat ticks (t = 4..400), each beating the whole pool,
+  //   500 beat deliveries (the beats sent at t = 0..396),
+  //    40 window sweeps (t = 10..400), each closing all five windows.
+  // One timer chain per replica would cost 500 ticks and 200 window checks.
+  Simulator sim;
+  ReplicatedService service(
+      sim, small_params(5),
+      [](Ballot input, std::size_t) { return correct_value(input); }, 1);
+  service.start();
+  sim.run_until(400);
+  EXPECT_EQ(sim.executed(), 100u + 500u + 40u);
+  EXPECT_EQ(service.live_count(), 5u);
+  EXPECT_EQ(service.membership().downs(), 0u);
+}
+
 TEST(ClusterTest, CleanRoundsReachConsensusWithoutDissent) {
   Simulator sim;
   ReplicatedService service(

@@ -2,6 +2,9 @@
 // the per-channel fault discriminator.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "detect/heartbeat.hpp"
 #include "sim/simulator.hpp"
 
@@ -133,6 +136,55 @@ TEST(HeartbeatTest, RewatchRunsASingleCheckChain) {
   f.sim.run_until(105);    // 10 windows of the fresh chain (t=15..105)
   EXPECT_EQ(f.monitor.total_misses(), 10u);
   EXPECT_EQ(f.monitor.consecutive_misses(c), 10u);
+}
+
+TEST(HeartbeatTest, ChannelsWatchedAtDifferentTicksKeepTheirOwnBoundaries) {
+  // Windows closing at the same tick share one sweep event, closed in
+  // arming order; a channel watched later keeps its own phase.
+  Fixture f;
+  const ChannelId a = f.discriminator.add("a");
+  const ChannelId b = f.discriminator.add("b");
+  const ChannelId c = f.discriminator.add("c");
+  std::vector<std::pair<SimTime, ChannelId>> misses;
+  f.monitor.set_miss_handler([&](ChannelId ch, std::uint64_t) {
+    misses.emplace_back(f.sim.now(), ch);
+  });
+  f.monitor.watch(a, 10);  // windows close at 10, 20, 30
+  f.monitor.watch(c, 5);   // 5, 10, 15, ...
+  f.sim.schedule_at(3, [&] { f.monitor.watch(b, 10); });  // 13, 23, 33
+  f.sim.run_until(35);
+  const std::vector<std::pair<SimTime, ChannelId>> expected = {
+      {5, c},  {10, a}, {10, c}, {13, b}, {15, c}, {20, a}, {20, c},
+      {23, b}, {25, c}, {30, a}, {30, c}, {33, b}, {35, c}};
+  EXPECT_EQ(misses, expected);
+  // One event per distinct boundary tick (5 10 13 15 20 23 25 30 33 35)
+  // plus the scheduled watch at t=3.
+  EXPECT_EQ(f.sim.executed(), 11u);
+}
+
+TEST(HeartbeatTest, RewatchInASharedBoundaryDoesNotDoubleCount) {
+  // b shares a's boundaries until it is unwatched and re-watched off-phase:
+  // its stale window in the shared sweep is skipped, and from then on it
+  // closes windows on its own boundaries only.
+  Fixture f;
+  const ChannelId a = f.discriminator.add("a");
+  const ChannelId b = f.discriminator.add("b");
+  std::vector<std::pair<SimTime, ChannelId>> misses;
+  f.monitor.set_miss_handler([&](ChannelId ch, std::uint64_t) {
+    misses.emplace_back(f.sim.now(), ch);
+  });
+  f.monitor.watch(a, 10);
+  f.monitor.watch(b, 10);
+  f.sim.run_until(14);  // both missed at 10; both pending at 20
+  f.monitor.unwatch(b);
+  f.sim.run_until(16);
+  f.monitor.watch(b, 10);  // fresh cycle: 26, 36
+  f.sim.run_until(40);
+  const std::vector<std::pair<SimTime, ChannelId>> expected = {
+      {10, a}, {10, b}, {20, a}, {26, b}, {30, a}, {36, b}, {40, a}};
+  EXPECT_EQ(misses, expected);
+  EXPECT_EQ(f.monitor.total_misses(), expected.size());
+  EXPECT_EQ(f.monitor.consecutive_misses(b), 2u);
 }
 
 TEST(HeartbeatTest, IndependentDeadlinesPerChannel) {

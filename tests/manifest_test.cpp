@@ -2,6 +2,9 @@
 // registry population, re-qualification, and the provenance audit.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "manifest/manifest.hpp"
 
 namespace {
@@ -101,6 +104,49 @@ TEST(ManifestTest, RoundTripPreservesClauseBoundsAndVerdicts) {
   const std::vector<std::string> in_memory = ids(m.requalify(ctx));
   EXPECT_EQ(in_memory, std::vector<std::string>{"ratio"});
   EXPECT_EQ(ids(parsed.requalify(ctx)), in_memory);
+}
+
+// Regression: the text fields were written raw, so a statement holding a
+// line break produced a document parse() rejected, and leading/trailing
+// blanks or a leading quote came back altered.  Such fields are quoted now;
+// fields that read back raw are still written raw.
+TEST(ManifestTest, RoundTripPreservesAwkwardTextFields) {
+  const std::vector<std::string> awkward = {
+      "line one\nline two", "say \"hi\"", "\"leading quote", "back\\slash",
+      "a = b", "  padded  ", "\ttabbed\t", "cr\r", "x -> y", ""};
+  Manifest m;
+  m.name = " spaced name ";
+  m.version = "4.2\nrc";
+  for (std::size_t i = 0; i < awkward.size(); ++i) {
+    m.assumptions.push_back(AssumptionRecord{
+        .id = "id" + std::to_string(i) + awkward[i],
+        .statement = awkward[i],
+        .origin = awkward[(i + 1) % awkward.size()],
+        .rationale = awkward[(i + 2) % awkward.size()],
+        .expectation = clause_eq("key" + std::to_string(i) + awkward[i],
+                                 awkward[(i + 3) % awkward.size()])});
+  }
+  aft::arch::DagSnapshot dag;
+  dag.name = "dag\nname";
+  dag.nodes = {"plain", "x -> y", "\"q\"", " pad ", "multi\nline"};
+  dag.edges = {{"x -> y", "\"q\""}, {"\"q\"", " pad "}, {"plain", "x -> y"},
+               {" pad ", "multi\nline"}};
+  m.architectures.push_back(dag);
+
+  const std::string document = m.serialize();
+  const Manifest parsed = Manifest::parse(document);
+  EXPECT_EQ(parsed.name, m.name);
+  EXPECT_EQ(parsed.version, m.version);
+  EXPECT_EQ(parsed.assumptions, m.assumptions);
+  ASSERT_EQ(parsed.architectures.size(), 1u);
+  EXPECT_EQ(parsed.architectures[0].name, dag.name);
+  EXPECT_EQ(parsed.architectures[0].nodes, dag.nodes);
+  EXPECT_EQ(parsed.architectures[0].edges, dag.edges);
+  EXPECT_EQ(parsed.serialize(), document);
+  // Fields that read back raw stay raw.
+  EXPECT_NE(document.find("statement = a = b\n"), std::string::npos);
+  EXPECT_NE(document.find("statement = back\\slash\n"), std::string::npos);
+  EXPECT_NE(document.find("node = plain\n"), std::string::npos);
 }
 
 TEST(ManifestParseErrorTest, MalformedQuotedBound) {

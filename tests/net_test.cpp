@@ -47,6 +47,18 @@ using aft::net::RpcStatus;
 using aft::sim::Simulator;
 using aft::sim::SimTime;
 
+/// Paces `endpoint`'s heartbeats: one now, then one every `period` ticks
+/// for as long as `*running` stays true (the owner of a group of endpoints
+/// drives send_heartbeat() this way from its own tick).
+void beat_every(Simulator& sim, Endpoint& endpoint, SimTime period,
+                const bool* running) {
+  if (!*running) return;
+  endpoint.send_heartbeat();
+  sim.schedule_in(period, [&sim, &endpoint, period, running] {
+    beat_every(sim, endpoint, period, running);
+  });
+}
+
 Frame data_frame(std::uint64_t id) {
   Frame f;
   f.kind = FrameKind::kData;
@@ -431,7 +443,7 @@ TEST(RpcTest, CallValidation) {
   Endpoint unattached(sim, "lone", 1);
   EXPECT_THROW(unattached.call("echo", "x", CallOptions{}, nullptr),
                std::logic_error);
-  EXPECT_THROW(unattached.start_heartbeats(5), std::logic_error);
+  EXPECT_THROW(unattached.send_heartbeat(), std::logic_error);
 }
 
 TEST(RpcTest, EchoCompletesFirstAttempt) {
@@ -548,6 +560,56 @@ TEST(RpcTest, DeadlineFiringDuringBackoffDoesNotDoubleFailTheAttempt) {
   // t=2 app error, the t=10 deadline re-fail of the same attempt, and the
   // second attempt's app error.
   EXPECT_EQ(w.client.counters().attempt_failures, 2u);
+}
+
+TEST(RpcTest, CompletedCallsLeaveNoDeadlineTimersPending) {
+  // A call that completes long before its deadline withdraws the deadline
+  // timer instead of leaving a no-op in the event queue: 10k sequential
+  // calls, each done in a few ticks against a 5,000-tick deadline, keep
+  // pending() at the two entries one call has in flight, where the dead
+  // timers used to pile up to ~deadline / round-trip of them.
+  RpcWorld w;
+  CallOptions options;
+  options.deadline = 5000;
+  std::size_t done = 0;
+  std::size_t peak_pending = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t before = done;
+    w.client.call("echo", "x", options, [&](const RpcResult& r) {
+      EXPECT_EQ(r.status, RpcStatus::kOk);
+      ++done;
+    });
+    while (done == before && w.sim.step()) {
+      peak_pending = std::max(peak_pending, w.sim.pending());
+    }
+  }
+  EXPECT_EQ(done, 10000u);
+  EXPECT_LE(peak_pending, 2u);
+  EXPECT_EQ(w.sim.pending(), 0u);
+  // Nothing dead is left to dispatch: the clock stays where the last call
+  // completed instead of running out to its deadline.
+  const SimTime finished = w.sim.now();
+  EXPECT_EQ(w.sim.run_all(), 0u);
+  EXPECT_EQ(w.sim.now(), finished);
+}
+
+TEST(RpcTest, AppErrorRetryWithdrawsTheFailedAttemptsTimer) {
+  // An app-error response fails the attempt before its deadline; the retry
+  // supersedes it, so its timer is withdrawn rather than fired as a no-op.
+  RpcWorld w;
+  CallOptions options;
+  options.deadline = 100;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff = 3;
+  std::vector<RpcResult> results;
+  w.client.call("no-such-method", "x", options,
+                [&](const RpcResult& r) { results.push_back(r); });
+  // Events: request + response per attempt, one backoff, no timers.
+  EXPECT_EQ(w.sim.run_all(), 5u);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, RpcStatus::kExhausted);
+  EXPECT_EQ(results[0].attempts, 2u);
+  EXPECT_LT(w.sim.now(), 100u);
 }
 
 TEST(RpcTest, ResponsesForSupersededAttemptsAreStale) {
@@ -861,7 +923,8 @@ TEST(MembershipTest, HeartbeatsOverTheWireKeepAMemberUpThroughAPartition) {
   server.on_heartbeat([&](const std::string& origin) {
     if (origin == "client") membership.beat(member);
   });
-  client.start_heartbeats(4);
+  const bool beating = true;
+  beat_every(sim, client, 4, &beating);
 
   sim.run_until(100);
   EXPECT_TRUE(membership.up(member));
@@ -892,11 +955,12 @@ TEST(MembershipTest, StoppedHeartbeatsNoLongerArrive) {
   Endpoint server(sim, "server", 38);
   client.attach(s2c, c2s);
   server.attach(c2s, s2c);
-  client.start_heartbeats(5);
+  bool beating = true;
+  beat_every(sim, client, 5, &beating);
   sim.run_until(50);
   const std::uint64_t before = server.heartbeats_received();
   EXPECT_GT(before, 0u);
-  client.stop_heartbeats();
+  beating = false;
   sim.run_all();
   // At most the already in-flight beat arrives after the stop.
   EXPECT_LE(server.heartbeats_received(), before + 1);

@@ -166,6 +166,101 @@ TEST(SimulatorTest, InTreeContinuationShapesFitInline) {
   (void)oversized;
 }
 
+TEST(SimulatorTest, CancelledEntryNeverRunsNorMovesTheClock) {
+  Simulator sim;
+  std::vector<int> ran;
+  sim.schedule_at(5, [&] { ran.push_back(5); });
+  const Simulator::Handle late = sim.schedule_at(100, [&] { ran.push_back(100); });
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(sim.cancel(late));
+  EXPECT_FALSE(sim.cancel(late));  // double cancel
+  EXPECT_FALSE(sim.cancel(Simulator::Handle{}));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run_all(), 1u);
+  EXPECT_EQ(ran, std::vector<int>{5});
+  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_EQ(sim.now(), 5u);  // the dead entry at 100 did not advance it
+  EXPECT_TRUE(sim.idle());
+  // run_until still ends at its bound, dead entries or not.
+  const Simulator::Handle gone = sim.schedule_at(50, [&] { ran.push_back(50); });
+  sim.cancel(gone);
+  sim.run_until(60);
+  EXPECT_EQ(sim.now(), 60u);
+  EXPECT_EQ(ran, std::vector<int>{5});
+}
+
+// A cancelled entry must behave exactly like an entry whose action is a
+// no-op, minus the dispatch: the live entries run in the same order at the
+// same times, and executed() drops by the number of cancelled entries.
+namespace cancellation {
+
+struct Replay {
+  explicit Replay(bool cancel) : use_cancel(cancel) {}
+
+  bool use_cancel;  ///< false: "cancel" only turns the target into a no-op
+  Simulator sim;
+  std::vector<Simulator::Handle> handles;  ///< by id
+  std::vector<bool> voided;                ///< by id (no-op mode)
+  std::vector<std::pair<SimTime, int>> log;
+  std::uint64_t cancelled = 0;
+  std::uint64_t noops = 0;
+  int next_id = 0;
+
+  void add(SimTime when) {
+    const int id = next_id++;
+    handles.emplace_back();
+    voided.push_back(false);
+    handles[static_cast<std::size_t>(id)] =
+        sim.schedule_at(when, [this, id] { fire(id); });
+  }
+  void fire(int id) {
+    if (voided[static_cast<std::size_t>(id)]) {
+      ++noops;
+      return;
+    }
+    log.emplace_back(sim.now(), id);
+    // Re-entrant fan-out and re-entrant cancels of other entries — pending,
+    // already run, or already cancelled ones alike.
+    if (id < 600 && id % 3 == 0) add(sim.now() + static_cast<SimTime>(id % 5));
+    if (id % 4 == 1) withdraw((id * 7 + 3) % next_id);
+  }
+  void withdraw(int target) {
+    const auto t = static_cast<std::size_t>(target);
+    if (use_cancel) {
+      if (sim.cancel(handles[t])) ++cancelled;
+    } else {
+      voided[t] = true;
+    }
+  }
+};
+
+void drive(Replay& r) {
+  aft::util::Xoshiro256 rng(404);
+  for (int i = 0; i < 300; ++i) r.add(rng.uniform_int(0, 60));
+  // Cancels from outside any action, before anything ran.
+  for (int target = 0; target < 300; target += 11) r.withdraw(target);
+  for (SimTime t = 0; t <= 70; t += 4) r.sim.run_until(t);
+  r.sim.run_all();
+}
+
+TEST(SimulatorCancelTest, LiveDispatchOrderMatchesNoOpRun) {
+  Replay cancelled(/*cancel=*/true);
+  Replay noop(/*cancel=*/false);
+  drive(cancelled);
+  drive(noop);
+  EXPECT_GT(cancelled.cancelled, 20u);
+  EXPECT_EQ(cancelled.noops, 0u);
+  EXPECT_EQ(cancelled.cancelled, noop.noops);
+  EXPECT_EQ(cancelled.log, noop.log);
+  EXPECT_EQ(cancelled.next_id, noop.next_id);
+  EXPECT_EQ(cancelled.sim.executed() + cancelled.cancelled,
+            noop.sim.executed());
+  EXPECT_TRUE(cancelled.sim.idle());
+  EXPECT_LE(cancelled.sim.now(), noop.sim.now());
+}
+
+}  // namespace cancellation
+
 // --- Differential test: the DHeap kernel vs a priority_queue reference model
 
 namespace differential {

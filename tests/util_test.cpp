@@ -6,9 +6,11 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/dheap.hpp"
@@ -305,6 +307,98 @@ TEST(DHeapTest, ValueAndKeyMayDiffer) {
   EXPECT_EQ(heap.pop(), "first");
   EXPECT_EQ(heap.pop(), "second");
   EXPECT_EQ(heap.pop(), "third");
+}
+
+TEST(DHeapTest, EraseAgainstSortedModel) {
+  // Randomized push/pop/erase against a sorted model of the live entries.
+  // Keys are unique (value * 65536 + push index), so the pop sequence is
+  // fully determined.  Erases hit live handles, already-erased handles
+  // (double cancel) and handles whose entry was popped and whose slot the
+  // LIFO freelist has since handed to a newer entry; only live ones may
+  // succeed.  Now and then three quarters of the live entries are erased at
+  // once: dead nodes then outnumber live ones, which forces a rebuild.
+  using Heap = DHeap<std::uint64_t, std::uint64_t>;
+  Heap heap;
+  std::vector<std::uint64_t> model;  // live keys, sorted
+  std::map<std::uint64_t, Heap::Handle> live;
+  std::vector<Heap::Handle> gone;  // handles of popped or erased entries
+  Xoshiro256 rng(7);
+  std::uint64_t pushes = 0;
+  const auto erase_live = [&](std::uint64_t key) {
+    const Heap::Handle handle = live.at(key);
+    ASSERT_TRUE(heap.erase(handle));
+    gone.push_back(handle);
+    live.erase(key);
+    model.erase(std::lower_bound(model.begin(), model.end(), key));
+  };
+  for (int round = 0; round < 20000; ++round) {
+    const std::uint64_t op = rng.uniform_int(0, 99);
+    if (model.empty() || op < 45) {
+      const std::uint64_t key = rng.uniform_int(0, 200) * 65536 + pushes++;
+      live.emplace(key, heap.push(key, key));
+      model.insert(std::upper_bound(model.begin(), model.end(), key), key);
+    } else if (op < 75) {
+      ASSERT_EQ(heap.top_key(), model.front());
+      ASSERT_EQ(heap.pop(), model.front());
+      gone.push_back(live.at(model.front()));
+      live.erase(model.front());
+      model.erase(model.begin());
+    } else if (op < 90) {
+      erase_live(model[rng.uniform_int(0, model.size() - 1)]);
+    } else if (op < 99) {
+      if (!gone.empty()) {
+        EXPECT_FALSE(heap.erase(gone[rng.uniform_int(0, gone.size() - 1)]));
+      }
+    } else {
+      const std::size_t keep = model.size() / 4;
+      while (model.size() > keep) {
+        erase_live(model[rng.uniform_int(0, model.size() - 1)]);
+      }
+    }
+    ASSERT_EQ(heap.size(), model.size());
+    ASSERT_EQ(heap.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(heap.top(), model.front());
+    }
+  }
+  EXPECT_FALSE(heap.erase(Heap::Handle{}));
+  while (!model.empty()) {
+    EXPECT_EQ(heap.pop(), model.front());
+    model.erase(model.begin());
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(DHeapTest, StaleHandleOfARecycledSlotIsRejected) {
+  using Heap = DHeap<int, int>;
+  Heap heap;
+  const Heap::Handle first = heap.push(1, 10);
+  EXPECT_EQ(heap.pop(), 10);
+  // The LIFO freelist hands the same slot to the next push.
+  const Heap::Handle second = heap.push(2, 20);
+  EXPECT_EQ(first.slot, second.slot);
+  EXPECT_FALSE(heap.erase(first));  // names the popped entry, not this one
+  EXPECT_EQ(heap.size(), 1u);
+  EXPECT_TRUE(heap.erase(second));
+  EXPECT_FALSE(heap.erase(second));  // double cancel
+  EXPECT_TRUE(heap.empty());
+  const Heap::Handle third = heap.push(3, 30);
+  EXPECT_FALSE(heap.erase(second));  // slot reused again
+  EXPECT_EQ(heap.top(), 30);
+  heap.clear();
+  EXPECT_FALSE(heap.erase(third));  // clear() invalidates every handle
+}
+
+TEST(DHeapTest, ErasedValueIsReleasedAtOnce) {
+  DHeap<std::shared_ptr<int>, int> heap;
+  auto payload = std::make_shared<int>(5);
+  heap.push(1, std::make_shared<int>(1));
+  const auto handle = heap.push(2, payload);
+  EXPECT_EQ(payload.use_count(), 2);
+  EXPECT_TRUE(heap.erase(handle));
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_EQ(*heap.pop(), 1);
+  EXPECT_TRUE(heap.empty());
 }
 
 // --- RunningStats -----------------------------------------------------------
