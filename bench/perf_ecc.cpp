@@ -15,7 +15,10 @@
 //                   perf trajectory)
 // Each section is gated independently so a regression in one path can not
 // hide behind a surplus in another — the old combined-only gate let decode
-// sit at 9.2x as long as encode stayed fast.
+// sit at 9.2x as long as encode stayed fast.  Every ratio is the median of
+// kPairs interleaved kernel/reference pairs (bench_util.hpp paired_ratio),
+// recorded with its per-pair min/max: the decode margins over 10x are small
+// enough that a best-of-3 could flip a gate on a noisy host.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -43,10 +46,11 @@ namespace {
 
 using aft::hw::Word72;
 using aft::mem::EccStatus;
-using aft::bench::best_time;
 using aft::bench::Clock;
 using aft::bench::json_number;
-using aft::bench::kRepeats;
+using aft::bench::kPairs;
+using aft::bench::paired_ratio;
+using aft::bench::PairedRatio;
 using aft::bench::seconds_since;
 
 constexpr std::size_t kWorkingSet = 1 << 14;  ///< distinct words per loop
@@ -61,100 +65,116 @@ std::vector<std::uint64_t> random_words(std::size_t n, std::uint64_t seed) {
 /// Cheap fold that keeps the optimizer from discarding the work.
 std::uint64_t g_sink = 0;
 
+/// One timed run of `ops` scalar encodes (kernel or reference); words/s.
 double encode_rate(std::uint64_t ops, bool use_ref,
                    const std::vector<std::uint64_t>& words) {
-  const double secs = best_time([&] {
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      const Word72 w = use_ref
-                           ? aft::mem::ecc_encode_ref(words[i % kWorkingSet])
-                           : aft::mem::ecc_encode(words[i % kWorkingSet]);
-      acc ^= w.data + w.check;
-    }
-    g_sink ^= acc;
-  });
+  const auto t0 = Clock::now();
+  std::uint64_t acc = 0;
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const Word72 w = use_ref ? aft::mem::ecc_encode_ref(words[i % kWorkingSet])
+                             : aft::mem::ecc_encode(words[i % kWorkingSet]);
+    acc ^= w.data + w.check;
+  }
+  const double secs = seconds_since(t0);
+  g_sink ^= acc;
   return static_cast<double>(ops) / secs;
 }
 
+/// One timed run of `ops` scalar decodes (kernel or reference); words/s.
 double decode_rate(std::uint64_t ops, bool use_ref,
                    const std::vector<Word72>& codewords) {
-  const double secs = best_time([&] {
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      const auto dec = use_ref ? aft::mem::ecc_decode_ref(codewords[i % kWorkingSet])
-                               : aft::mem::ecc_decode(codewords[i % kWorkingSet]);
-      acc ^= dec.data + static_cast<std::uint64_t>(dec.status);
-    }
-    g_sink ^= acc;
-  });
+  const auto t0 = Clock::now();
+  std::uint64_t acc = 0;
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const auto dec = use_ref ? aft::mem::ecc_decode_ref(codewords[i % kWorkingSet])
+                             : aft::mem::ecc_decode(codewords[i % kWorkingSet]);
+    acc ^= dec.data + static_cast<std::uint64_t>(dec.status);
+  }
+  const double secs = seconds_since(t0);
+  g_sink ^= acc;
   return static_cast<double>(ops) / secs;
 }
 
+/// One timed run of batch encodes over the working set; words/s.
 double encode_batch_rate(std::uint64_t ops,
                          const std::vector<std::uint64_t>& words) {
   std::vector<Word72> out(kWorkingSet);
   const std::uint64_t passes = std::max<std::uint64_t>(1, ops / kWorkingSet);
-  const double secs = best_time([&] {
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      aft::mem::ecc_encode_batch(words.data(), kWorkingSet, out.data());
-    }
-    g_sink ^= out[out.size() / 2].data;
-  });
+  const auto t0 = Clock::now();
+  for (std::uint64_t p = 0; p < passes; ++p) {
+    aft::mem::ecc_encode_batch(words.data(), kWorkingSet, out.data());
+  }
+  const double secs = seconds_since(t0);
+  g_sink ^= out[out.size() / 2].data;
   return static_cast<double>(passes * kWorkingSet) / secs;
 }
 
+/// One timed run of batch decodes over the working set; words/s.
 double decode_batch_rate(std::uint64_t ops,
                          const std::vector<Word72>& codewords) {
   std::vector<std::uint64_t> data(kWorkingSet);
   std::vector<EccStatus> status(kWorkingSet);
   const std::uint64_t passes = std::max<std::uint64_t>(1, ops / kWorkingSet);
-  const double secs = best_time([&] {
-    std::uint64_t acc = 0;
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      const auto counts = aft::mem::ecc_decode_batch(
-          codewords.data(), kWorkingSet, data.data(), status.data(), nullptr);
-      acc ^= counts.corrected + data[p % kWorkingSet];
-    }
-    g_sink ^= acc;
-  });
+  const auto t0 = Clock::now();
+  std::uint64_t acc = 0;
+  for (std::uint64_t p = 0; p < passes; ++p) {
+    const auto counts = aft::mem::ecc_decode_batch(
+        codewords.data(), kWorkingSet, data.data(), status.data(), nullptr);
+    acc ^= counts.corrected + data[p % kWorkingSet];
+  }
+  const double secs = seconds_since(t0);
+  g_sink ^= acc;
   return static_cast<double>(passes * kWorkingSet) / secs;
 }
 
-/// Patrol-scrub throughput over a device carrying a light latent-error load.
+/// Patrol scrub over a device carrying a light latent-error load (the
+/// untimed warmup run repairs it, so timed runs scrub a clean device).
 /// `batched` selects the production EccScrubAccess walk (read_block + batch
 /// decode) or an equivalent per-word emulation of the pre-batch walk.
-double scrub_rate(bool batched) {
-  aft::hw::MemoryChip chip(kWorkingSet);
-  aft::mem::EccScrubAccess method(chip, kWorkingSet);
-  aft::util::Xoshiro256 rng(99);
-  for (std::size_t w = 0; w < kWorkingSet; ++w) method.write(w, rng.next());
-  for (int i = 0; i < 512; ++i) {
-    chip.inject_bit_flip(static_cast<std::size_t>(rng.uniform_int(0, kWorkingSet - 1)),
-                         static_cast<unsigned>(rng.uniform_int(0, 71)));
+class ScrubRun {
+ public:
+  explicit ScrubRun(bool batched)
+      : chip_(kWorkingSet), method_(chip_, kWorkingSet), batched_(batched) {
+    aft::util::Xoshiro256 rng(99);
+    for (std::size_t w = 0; w < kWorkingSet; ++w) method_.write(w, rng.next());
+    for (int i = 0; i < 512; ++i) {
+      chip_.inject_bit_flip(
+          static_cast<std::size_t>(rng.uniform_int(0, kWorkingSet - 1)),
+          static_cast<unsigned>(rng.uniform_int(0, 71)));
+    }
   }
-  constexpr int kPasses = 32;
-  const double secs = best_time([&] {
-    if (batched) {
-      for (int p = 0; p < kPasses; ++p) method.scrub_step();
+
+  /// One timed run of kPasses full sweeps; words/s.
+  double operator()() {
+    const auto t0 = Clock::now();
+    if (batched_) {
+      for (int p = 0; p < kPasses; ++p) method_.scrub_step();
     } else {
-      // The per-word walk this PR replaced, kept as the scrub baseline.
+      // The per-word walk the batched scrub replaced, kept as its baseline.
       std::uint64_t corrected = 0;
       for (int p = 0; p < kPasses; ++p) {
         for (std::size_t addr = 0; addr < kWorkingSet; ++addr) {
-          const aft::hw::DeviceRead dev = chip.read(addr);
-          if (!dev.available) return;
+          const aft::hw::DeviceRead dev = chip_.read(addr);
+          if (!dev.available) break;
           const auto dec = aft::mem::ecc_decode(dev.word);
           if (dec.status == EccStatus::kCorrectedSingle) {
             ++corrected;
-            chip.write(addr, dec.repaired);
+            chip_.write(addr, dec.repaired);
           }
         }
       }
       g_sink ^= corrected;
     }
-  });
-  return static_cast<double>(kPasses) * static_cast<double>(kWorkingSet) / secs;
-}
+    return static_cast<double>(kPasses) * static_cast<double>(kWorkingSet) /
+           seconds_since(t0);
+  }
+
+ private:
+  static constexpr int kPasses = 32;
+  aft::hw::MemoryChip chip_;
+  aft::mem::EccScrubAccess method_;
+  bool batched_;
+};
 
 /// Full campaign wall clock: the abl_scrub_cadence shape, fanned across the
 /// campaign thread pool.
@@ -296,65 +316,81 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kBatchOps = 1 << 24;  // ~16M (the fast side)
   constexpr std::uint64_t kRefOps = 1 << 18;    // ~262k (the slow side)
 
-  const double enc_mask = encode_rate(kMaskOps, false, words);
-  const double enc_ref = encode_rate(kRefOps, true, words);
-  const double dec_mask_clean = decode_rate(kMaskOps, false, clean);
-  const double dec_ref_clean = decode_rate(kRefOps, true, clean);
-  const double dec_mask_fix = decode_rate(kMaskOps, false, flipped);
-  const double dec_ref_fix = decode_rate(kRefOps, true, flipped);
-  const double enc_batch = encode_batch_rate(kBatchOps, words);
-  const double dec_batch_clean = decode_batch_rate(kBatchOps, clean);
-  const double dec_batch_fix = decode_batch_rate(kBatchOps, flipped);
+  // Each side's rate is per word, so the sides may run different op
+  // counts; every ratio is the median of kPairs interleaved pairs.
+  const auto enc_mask = [&] { return encode_rate(kMaskOps, false, words); };
+  const auto enc_ref = [&] { return encode_rate(kRefOps, true, words); };
+  const auto dec_mask_clean = [&] { return decode_rate(kMaskOps, false, clean); };
+  const auto dec_ref_clean = [&] { return decode_rate(kRefOps, true, clean); };
+  const auto dec_mask_fix = [&] { return decode_rate(kMaskOps, false, flipped); };
+  const auto dec_ref_fix = [&] { return decode_rate(kRefOps, true, flipped); };
+  const auto enc_batch = [&] { return encode_batch_rate(kBatchOps, words); };
+  const auto dec_batch_clean = [&] { return decode_batch_rate(kBatchOps, clean); };
+  const auto dec_batch_fix = [&] { return decode_batch_rate(kBatchOps, flipped); };
 
-  // Combined encode+decode throughput: words through a full round trip.
-  const double combo_mask = 1.0 / (1.0 / enc_mask + 1.0 / dec_mask_clean);
-  const double combo_ref = 1.0 / (1.0 / enc_ref + 1.0 / dec_ref_clean);
+  const PairedRatio enc = paired_ratio(enc_mask, enc_ref);
+  const PairedRatio dec_clean = paired_ratio(dec_mask_clean, dec_ref_clean);
+  const PairedRatio dec_fix = paired_ratio(dec_mask_fix, dec_ref_fix);
+  const PairedRatio enc_batch_ref = paired_ratio(enc_batch, enc_ref);
+  const PairedRatio dec_batch_clean_ref = paired_ratio(dec_batch_clean, dec_ref_clean);
+  const PairedRatio dec_batch_fix_ref = paired_ratio(dec_batch_fix, dec_ref_fix);
+  const PairedRatio enc_batch_mask = paired_ratio(enc_batch, enc_mask);
+  const PairedRatio dec_batch_clean_mask = paired_ratio(dec_batch_clean, dec_mask_clean);
+  const PairedRatio dec_batch_fix_mask = paired_ratio(dec_batch_fix, dec_mask_fix);
+
+  // Combined encode+decode throughput: words through a full round trip
+  // (informational; from the median rates of each side).
+  const double combo_mask =
+      1.0 / (1.0 / enc.kernel_rate + 1.0 / dec_clean.kernel_rate);
+  const double combo_ref = 1.0 / (1.0 / enc.ref_rate + 1.0 / dec_clean.ref_rate);
   const double combo_speedup = combo_mask / combo_ref;
 
-  const double scrub_batched = scrub_rate(/*batched=*/true);
-  const double scrub_per_word = scrub_rate(/*batched=*/false);
+  ScrubRun scrub_batched(/*batched=*/true);
+  ScrubRun scrub_per_word(/*batched=*/false);
+  const PairedRatio scrub = paired_ratio(scrub_batched, scrub_per_word);
   const CampaignResult camp = campaign_wall_clock();
 
-  const auto row = [](const char* name, double rate, double ref) {
-    std::cout << "  " << name << ": " << json_number(rate / 1e6)
-              << " Mwords/s vs " << json_number(ref / 1e6)
-              << " Mwords/s ref  (" << json_number(rate / ref) << "x)\n";
+  const auto row = [](const char* name, const PairedRatio& r) {
+    std::cout << "  " << name << ": " << json_number(r.kernel_rate / 1e6)
+              << " Mwords/s vs " << json_number(r.ref_rate / 1e6)
+              << " Mwords/s ref  (" << json_number(r.median) << "x, pairs "
+              << json_number(r.min) << "-" << json_number(r.max) << "x)\n";
   };
-  row("encode        ", enc_mask, enc_ref);
-  row("decode clean  ", dec_mask_clean, dec_ref_clean);
-  row("decode 1-flip ", dec_mask_fix, dec_ref_fix);
-  row("encode batch  ", enc_batch, enc_ref);
-  row("decode batch  ", dec_batch_clean, dec_ref_clean);
-  row("decode batch1f", dec_batch_fix, dec_ref_fix);
-  std::cout << "  batch vs scalar decode: "
-            << json_number(dec_batch_clean / dec_mask_clean) << "x clean, "
-            << json_number(dec_batch_fix / dec_mask_fix) << "x 1-flip\n";
-  std::cout << "  scrub         : " << json_number(scrub_batched / 1e6)
+  row("encode        ", enc);
+  row("decode clean  ", dec_clean);
+  row("decode 1-flip ", dec_fix);
+  row("encode batch  ", enc_batch_ref);
+  row("decode batch  ", dec_batch_clean_ref);
+  row("decode batch1f", dec_batch_fix_ref);
+  std::cout << "  batch vs scalar decode: " << json_number(dec_batch_clean_mask.median)
+            << "x clean, " << json_number(dec_batch_fix_mask.median)
+            << "x 1-flip\n";
+  std::cout << "  scrub         : " << json_number(scrub.kernel_rate / 1e6)
             << " Mwords/s patrol (per-word walk "
-            << json_number(scrub_per_word / 1e6) << " Mwords/s, "
-            << json_number(scrub_batched / scrub_per_word) << "x)\n";
+            << json_number(scrub.ref_rate / 1e6) << " Mwords/s, "
+            << json_number(scrub.median) << "x)\n";
   std::cout << "  campaign      : " << camp.jobs << " jobs x "
             << camp.ticks_per_job << " ticks on " << camp.threads
             << " thread(s) = " << json_number(camp.wall_seconds * 1e3)
             << " ms (corrected " << camp.total_corrected << ")\n\n";
 
-  // Per-section gates: each path must clear 10x over the reference on its
-  // own.  On a SIMD backend the batch kernel must additionally beat the
-  // scalar kernel 2x — that criterion is about the batch path earning its
-  // keep where wide lanes exist; on the portable (no-SIMD) leg bit-slicing
-  // only breaks even with the syndrome-cascade scalar kernel (the two
-  // 64x64 transposes cost about as much as the cascade itself), so there
-  // the leg gates the sliced path against the reference only.
+  // Per-section gates on the paired medians: each path must clear 10x over
+  // the reference on its own.  On a SIMD backend the batch kernel must
+  // additionally beat the scalar kernel 2x — that criterion is about the
+  // batch path earning its keep where wide lanes exist; on the portable
+  // (no-SIMD) leg bit-slicing only breaks even with the syndrome-cascade
+  // scalar kernel (the two 64x64 transposes cost about as much as the
+  // cascade itself), so there the leg gates the sliced path against the
+  // reference only.
   const bool simd_backend =
       aft::mem::ecc_batch_backend() != aft::mem::EccBackend::kPortable;
-  const bool gate_encode = enc_mask / enc_ref >= 10.0;
-  const bool gate_decode = dec_mask_clean / dec_ref_clean >= 10.0 &&
-                           dec_mask_fix / dec_ref_fix >= 10.0;
-  const double batch_vs_mask = std::min(dec_batch_clean / dec_mask_clean,
-                                        dec_batch_fix / dec_mask_fix);
-  const bool gate_batch = enc_batch / enc_ref >= 10.0 &&
-                          dec_batch_clean / dec_ref_clean >= 10.0 &&
-                          dec_batch_fix / dec_ref_fix >= 10.0 &&
+  const bool gate_encode = enc.median >= 10.0;
+  const bool gate_decode = dec_clean.median >= 10.0 && dec_fix.median >= 10.0;
+  const double batch_vs_mask =
+      std::min(dec_batch_clean_mask.median, dec_batch_fix_mask.median);
+  const bool gate_batch = enc_batch_ref.median >= 10.0 &&
+                          dec_batch_clean_ref.median >= 10.0 &&
+                          dec_batch_fix_ref.median >= 10.0 &&
                           (!simd_backend || batch_vs_mask >= 2.0);
   const bool pass = gate_encode && gate_decode && gate_batch;
 
@@ -367,58 +403,58 @@ int main(int argc, char** argv) {
             << (simd_backend ? " & >= 2x scalar decode" : "; no-SIMD leg")
             << "): " << verdict(gate_batch) << "\n"
             << "combined speedup " << json_number(combo_speedup)
-            << "x; all gates (release): " << verdict(pass) << "\n";
+            << "x; all gates (median of " << kPairs
+            << " interleaved pairs, release): " << verdict(pass) << "\n";
 
+  // A paired ratio's JSON fields: the median per-pair ratio (what the gates
+  // read) under `key`, and its per-pair min/max under key_min/key_max.
+  const auto ratio_fields = [](const std::string& key, const PairedRatio& r) {
+    return "\"" + key + "\": " + json_number(r.median) + ", \"" + key +
+           "_min\": " + json_number(r.min) + ", \"" + key +
+           "_max\": " + json_number(r.max);
+  };
+  const auto scalar_section = [&](const PairedRatio& r) {
+    return "{\"mask_words_per_sec\": " + json_number(r.kernel_rate) +
+           ", \"ref_words_per_sec\": " + json_number(r.ref_rate) + ", " +
+           ratio_fields("speedup", r);
+  };
+  const auto batch_section = [&](const PairedRatio& vs_ref,
+                                 const PairedRatio& vs_mask) {
+    return "{\"words_per_sec\": " + json_number(vs_ref.kernel_rate) + ", " +
+           ratio_fields("speedup_vs_ref", vs_ref) + ", " +
+           ratio_fields("speedup_vs_mask", vs_mask) + "}";
+  };
   const char* path = std::getenv("AFT_BENCH_JSON");
   if (path == nullptr || path[0] == '\0') path = "BENCH_ecc.json";
   std::ofstream json(path);
   json << "{\n"
        << "  \"bench\": \"perf_ecc\",\n"
        << "  \"build_type\": \"" << build_type << "\",\n"
-       << "  \"reps\": " << kRepeats << ",\n"
+       << "  \"pairs\": " << kPairs << ",\n"
        << "  \"warmup\": true,\n"
        << "  \"cpu\": \"" << aft::bench::cpu_model() << "\",\n"
        << "  \"batch_backend\": \"" << backend_name() << "\",\n"
        << "  \"working_set_words\": " << kWorkingSet << ",\n"
-       << "  \"encode\": {\"mask_words_per_sec\": " << json_number(enc_mask)
-       << ", \"ref_words_per_sec\": " << json_number(enc_ref)
-       << ", \"speedup\": " << json_number(enc_mask / enc_ref)
+       << "  \"encode\": " << scalar_section(enc)
        << ", \"pass\": " << (gate_encode ? "true" : "false") << "},\n"
-       << "  \"decode_clean\": {\"mask_words_per_sec\": "
-       << json_number(dec_mask_clean)
-       << ", \"ref_words_per_sec\": " << json_number(dec_ref_clean)
-       << ", \"speedup\": " << json_number(dec_mask_clean / dec_ref_clean)
-       << "},\n"
-       << "  \"decode_single_flip\": {\"mask_words_per_sec\": "
-       << json_number(dec_mask_fix)
-       << ", \"ref_words_per_sec\": " << json_number(dec_ref_fix)
-       << ", \"speedup\": " << json_number(dec_mask_fix / dec_ref_fix)
-       << "},\n"
+       << "  \"decode_clean\": " << scalar_section(dec_clean) << "},\n"
+       << "  \"decode_single_flip\": " << scalar_section(dec_fix) << "},\n"
        << "  \"decode_pass\": " << (gate_decode ? "true" : "false") << ",\n"
-       << "  \"encode_batch\": {\"words_per_sec\": " << json_number(enc_batch)
-       << ", \"speedup_vs_ref\": " << json_number(enc_batch / enc_ref)
-       << ", \"speedup_vs_mask\": " << json_number(enc_batch / enc_mask)
-       << "},\n"
-       << "  \"decode_batch_clean\": {\"words_per_sec\": "
-       << json_number(dec_batch_clean)
-       << ", \"speedup_vs_ref\": " << json_number(dec_batch_clean / dec_ref_clean)
-       << ", \"speedup_vs_mask\": " << json_number(dec_batch_clean / dec_mask_clean)
-       << "},\n"
-       << "  \"decode_batch_single_flip\": {\"words_per_sec\": "
-       << json_number(dec_batch_fix)
-       << ", \"speedup_vs_ref\": " << json_number(dec_batch_fix / dec_ref_fix)
-       << ", \"speedup_vs_mask\": " << json_number(dec_batch_fix / dec_mask_fix)
-       << "},\n"
+       << "  \"encode_batch\": " << batch_section(enc_batch_ref, enc_batch_mask)
+       << ",\n"
+       << "  \"decode_batch_clean\": "
+       << batch_section(dec_batch_clean_ref, dec_batch_clean_mask) << ",\n"
+       << "  \"decode_batch_single_flip\": "
+       << batch_section(dec_batch_fix_ref, dec_batch_fix_mask) << ",\n"
        << "  \"batch_vs_mask_enforced\": " << (simd_backend ? "true" : "false")
        << ",\n"
        << "  \"batch_pass\": " << (gate_batch ? "true" : "false") << ",\n"
        << "  \"encode_decode_combined_speedup\": "
        << json_number(combo_speedup) << ",\n"
-       << "  \"scrub_words_per_sec\": " << json_number(scrub_batched) << ",\n"
-       << "  \"scrub_batch\": {\"words_per_sec\": " << json_number(scrub_batched)
-       << ", \"per_word_words_per_sec\": " << json_number(scrub_per_word)
-       << ", \"speedup\": " << json_number(scrub_batched / scrub_per_word)
-       << "},\n"
+       << "  \"scrub_words_per_sec\": " << json_number(scrub.kernel_rate) << ",\n"
+       << "  \"scrub_batch\": {\"words_per_sec\": " << json_number(scrub.kernel_rate)
+       << ", \"per_word_words_per_sec\": " << json_number(scrub.ref_rate)
+       << ", " << ratio_fields("speedup", scrub) << "},\n"
        << "  \"campaign\": {\"jobs\": " << camp.jobs
        << ", \"ticks_per_job\": " << camp.ticks_per_job
        << ", \"threads\": " << camp.threads

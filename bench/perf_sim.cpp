@@ -1,5 +1,5 @@
-// Perf harness for the notification hot path: the InlineFn + DHeap kernel
-// with the interned/batched EventBus vs a faithful reimplementation of
+// Perf harness for the notification hot path: the InlineFn + tick-calendar
+// kernel with the interned/batched EventBus vs a faithful reimplementation of
 // their predecessors (std::priority_queue of entries holding std::function;
 // string-keyed std::map bus with per-publish snapshot vectors).  Emits
 // machine-readable BENCH_sim.json (path overridable via AFT_BENCH_JSON),
@@ -472,9 +472,9 @@ double histogram_add_ns(const std::vector<double>& stream) {
 // --- Differential spot-checks ------------------------------------------------
 
 /// Before trusting any timing: both kernels must dispatch an adversarial
-/// schedule (same-tick bursts, re-entrant scheduling) in the identical
-/// order.  tests/sim_test.cpp carries the exhaustive version; this is the
-/// bench-local smoke variant.
+/// schedule (same-tick bursts, re-entrant scheduling, entries past the
+/// calendar's 256-tick ring) in the identical order.  tests/sim_test.cpp
+/// carries the exhaustive version; this is the bench-local smoke variant.
 template <typename Sim>
 std::vector<std::pair<SimTime, std::uint64_t>> dispatch_log() {
   Sim sim;
@@ -490,7 +490,8 @@ std::vector<std::pair<SimTime, std::uint64_t>> dispatch_log() {
     }
   };
   for (std::uint64_t id = 0; id < 64; ++id) {
-    sim.schedule_at(id % 7, [&fire, id] { fire(id); });
+    const SimTime far = id % 5 == 0 ? 250 + id * 40 : 0;
+    sim.schedule_at(id % 7 + far, [&fire, id] { fire(id); });
   }
   sim.run_until(3);
   sim.run_all();
@@ -540,7 +541,7 @@ int main() {
 #else
   const char* build_type = "debug";
 #endif
-  std::cout << "=== perf_sim: InlineFn+DHeap kernel + interned EventBus vs "
+  std::cout << "=== perf_sim: InlineFn+calendar kernel + interned EventBus vs "
                "priority_queue/std::function/map reference ("
             << build_type << " build) ===\n\n";
 

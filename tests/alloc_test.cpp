@@ -5,7 +5,8 @@
 // allocation-free once warm:
 //
 //   * sim::Simulator schedule/dispatch with in-tree-shaped continuations
-//     (the InlineFn + DHeap kernel),
+//     (InlineFn actions in the tick-calendar kernel), including far
+//     deadlines that are mostly cancelled,
 //   * arch::EventBus publish and publish_batch over interned topics,
 //     plus MessageArena slot recycling,
 //   * net::Link frame send -> deliver through the recycled slot pool,
@@ -156,6 +157,46 @@ TEST(AllocTest, SelfReschedulingDaemonMeshIsAllocationFree) {
   std::uint64_t total = 0;
   for (const Daemon& d : mesh) total += d.fires;
   EXPECT_GT(total, 32u * 1000u);
+}
+
+TEST(AllocTest, MostlyCancelledFarDeadlinesAreAllocationFree) {
+  // The RPC timer shape at the kernel level: every request arms a
+  // 5,000-tick deadline (beyond the ring, so it waits in the overflow heap)
+  // and completes two or three ticks later, cancelling it — except every
+  // sixteenth, whose deadline is left to fire.  Cancelled deadlines are
+  // tombstones in the overflow heap until they surface or a rebuild drops
+  // them; either way the slab and the heap are reused in place.
+  aft::sim::Simulator sim;
+  sim.reserve(4096);
+  struct Chain {
+    aft::sim::Simulator* sim;
+    std::uint64_t* requests;
+    std::uint64_t* timeouts;
+    void request() {
+      const std::uint64_t n = ++*requests;
+      const aft::sim::Simulator::Handle deadline =
+          sim->schedule_in(5000, [t = timeouts] { ++*t; });
+      auto complete = [this, n, deadline] {
+        if (n % 16 != 0) sim->cancel(deadline);
+        request();
+      };
+      static_assert(aft::sim::Simulator::fits_inline<decltype(complete)>);
+      sim->schedule_in(2 + n % 2, std::move(complete));
+    }
+  };
+  std::uint64_t requests = 0;
+  std::uint64_t timeouts = 0;
+  std::vector<Chain> chains(8, Chain{&sim, &requests, &timeouts});
+  for (Chain& c : chains) c.request();
+  sim.run_until(20'000);  // warm-up: deadlines fire and the heap is at its peak
+
+  const std::uint64_t timeouts_before = timeouts;
+  const std::uint64_t allocs =
+      allocations_during([&] { sim.run_until(60'000); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(requests, 100'000u);
+  EXPECT_GT(timeouts - timeouts_before, 5'000u);  // some deadlines do fire
+  EXPECT_LT(sim.pending(), 4096u);
 }
 
 TEST(AllocTest, EventBusPublishSteadyStateIsAllocationFree) {
